@@ -10,8 +10,8 @@
 
 #include "core/registry.hpp"
 #include "core/stepwise.hpp"
-#include "fault/fault_aware.hpp"
 #include "fault/fault_inject.hpp"
+#include "fault/repair.hpp"
 #include "harness/bench.hpp"
 #include "metrics/table.hpp"
 #include "sim/wormhole_sim.hpp"

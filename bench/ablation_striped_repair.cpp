@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "coll/striped.hpp"
-#include "fault/fault_aware.hpp"
+#include "fault/repair.hpp"
 #include "harness/bench.hpp"
 #include "metrics/table.hpp"
 #include "sim/wormhole_sim.hpp"

@@ -20,7 +20,7 @@
 
 #include "coll/striped.hpp"
 #include "core/registry.hpp"
-#include "fault/fault_aware.hpp"
+#include "fault/repair.hpp"
 #include "harness/bench.hpp"
 #include "metrics/table.hpp"
 #include "sim/wormhole_sim.hpp"

@@ -58,8 +58,14 @@ std::uint8_t gf_pow(std::uint8_t a, unsigned e) {
   return t.exp[(static_cast<unsigned>(t.log[a]) * e) % 255];
 }
 
-void gf_addmul(std::uint8_t* dst, const std::uint8_t* src, std::uint8_t c,
-               std::size_t n) {
+// The two byte kernels carry every parity byte, and how fast their table
+// loops run depends on where the loop lands within a cache line. Aligning
+// them to one keeps that layout fixed whatever code links ahead of them:
+// on a 4-vCPU Intel Xeon guest, an unrelated change that moved them by
+// 32 bytes cost the stripe_faulted benchmark ~12% of its ops/s.
+[[gnu::aligned(64)]] void gf_addmul(std::uint8_t* dst,
+                                    const std::uint8_t* src, std::uint8_t c,
+                                    std::size_t n) {
   if (c == 0 || n == 0) return;
   if (c == 1) {
     for (std::size_t i = 0; i < n; ++i) dst[i] ^= src[i];
@@ -69,8 +75,9 @@ void gf_addmul(std::uint8_t* dst, const std::uint8_t* src, std::uint8_t c,
   for (std::size_t i = 0; i < n; ++i) dst[i] ^= row[src[i]];
 }
 
-void gf_mul_row(std::uint8_t* dst, const std::uint8_t* src, std::uint8_t c,
-                std::size_t n) {
+[[gnu::aligned(64)]] void gf_mul_row(std::uint8_t* dst,
+                                     const std::uint8_t* src, std::uint8_t c,
+                                     std::size_t n) {
   if (c == 0) {
     for (std::size_t i = 0; i < n; ++i) dst[i] = 0;
     return;

@@ -1,46 +1,26 @@
 #include "coll/serve_pipeline.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 
 #include "core/tree_builder.hpp"
 #include "core/wsort.hpp"
-#include "fault/fault_aware.hpp"
+#include "fault/repair.hpp"
 #include "obs/registry.hpp"
 
 namespace hypercast::coll {
 
 namespace {
 
-/// Fixed algorithm ids for the translation-invariant built-ins; ids for
-/// absolutely-cached registry entries are assigned on first use so that
-/// pipelines sharing one cache never collide.
+/// Fixed algorithm ids for the translation-invariant built-ins (the
+/// only cached kinds), so pipelines sharing one cache never collide.
 constexpr std::uint8_t kUcubeId = 0;
 constexpr std::uint8_t kMaxportId = 1;
 constexpr std::uint8_t kCombineId = 2;
 constexpr std::uint8_t kWsortId = 3;
-
-std::uint8_t entry_algo_id(const std::string& name) {
-  static std::mutex mu;
-  static std::unordered_map<std::string, std::uint8_t> ids;
-  static std::uint8_t next = 4;
-  std::lock_guard<std::mutex> lock(mu);
-  const auto it = ids.find(name);
-  if (it != ids.end()) return it->second;
-  if (next == 0) {  // wrapped: 252 distinct registered names, unlikely
-    throw std::runtime_error("ServePipeline: algorithm id space exhausted");
-  }
-  return ids.emplace(name, next++).first->second;
-}
-
-bool ends_with_ft(const std::string& name) {
-  return name.size() > 3 && name.compare(name.size() - 3, 3, "-ft") == 0;
-}
 
 /// Per-thread serving scratch: the canonical key, the relative chain
 /// reconstruction buffer, the tree builder and the wsort permutation
@@ -119,49 +99,51 @@ ServePipeline::ServePipeline(std::string algorithm,
     kind_ = Kind::Wsort;
     algo_id_ = kWsortId;
   } else {
-    // Resolves (and validates) the name against the registry; throws the
-    // self-diagnosing invalid_argument for typos.
+    // Resolves (and validates) the name against the registry once;
+    // throws the self-diagnosing invalid_argument for typos.
     kind_ = Kind::Entry;
-    entry_epoch_.store(fault::fault_epoch(), std::memory_order_relaxed);
-    entry_.store(&core::find_algorithm(algorithm_), std::memory_order_relaxed);
-    entry_cacheable_ = ends_with_ft(algorithm_);
-    algo_id_ = entry_cacheable_ ? entry_algo_id(algorithm_) : 0;
+    entry_ = core::find_algorithm(algorithm_);
   }
-}
-
-const core::AlgorithmEntry& ServePipeline::resolved_entry() const {
-  const std::uint64_t now = fault::fault_epoch();
-  const core::AlgorithmEntry* e = entry_.load(std::memory_order_acquire);
-  if (e == nullptr || entry_epoch_.load(std::memory_order_acquire) != now) {
-    // The epoch moved since this pipeline last looked the name up:
-    // whoever bumped it may have re-registered the entry against a new
-    // FaultSet (register_fault_aware_algorithms replaces in place and
-    // then bumps). Re-resolve so builds go through the live
-    // registration, not the one captured at construction. The pair of
-    // stores is not atomic; a racing bump at worst leaves a stale
-    // epoch stamp behind, causing one redundant re-resolution — never
-    // a stale entry served as fresh (the post-build epoch recheck in
-    // the callers covers the build window itself).
-    e = &core::find_algorithm(algorithm_);
-    entry_.store(e, std::memory_order_release);
-    entry_epoch_.store(now, std::memory_order_release);
-  }
-  return *e;
 }
 
 std::shared_ptr<const core::MulticastSchedule> ServePipeline::serve(
     const core::MulticastRequest& request) const {
   HYPERCAST_OBS_SPAN("serve");
-  if (cache_ == nullptr) return build_direct(request);
-  switch (kind_) {
-    case Kind::Chain:
-    case Kind::Wsort:
-      return serve_relative(request);
-    case Kind::Entry:
-      return entry_cacheable_ ? serve_absolute(request)
-                              : build_direct(request);
+  if (cache_ == nullptr || kind_ == Kind::Entry) return build_direct(request);
+  return serve_relative(request);
+}
+
+std::shared_ptr<const core::MulticastSchedule> ServePipeline::serve(
+    const core::MulticastRequest& request,
+    const fault::FaultSet& faults) const {
+  auto tree = serve(request);
+  if (fault::blocked_unicasts(*tree, faults) == 0) return tree;
+  return repaired(request, *tree, faults);
+}
+
+std::shared_ptr<const core::MulticastSchedule> ServePipeline::repaired(
+    const core::MulticastRequest& request,
+    const core::MulticastSchedule& base,
+    const fault::FaultSet& faults) const {
+  // A repair depends on the absolute fault positions: it caches under
+  // the absolute key of this pipeline's algorithm, scoped to the exact
+  // fault set. Registry entries stay pass-through (their trees may
+  // depend on destination order), so their repairs do too.
+  const bool cacheable = cache_ != nullptr && kind_ != Kind::Entry;
+  ServeTls& tls = serve_tls();
+  if (cacheable) {
+    const std::uint64_t seed = cache_->config().hash_seed;
+    core::canonical_key_into(request.topo, request.source,
+                             request.destinations, algo_id_,
+                             /*absolute=*/true, seed, tls.key);
+    core::scope_to_faults(tls.key, faults.ids(), faults.fingerprint(seed));
+    if (auto hit = cache_->get(tls.key)) return hit;
   }
-  return build_direct(request);  // unreachable
+  auto built = std::make_shared<core::MulticastSchedule>(
+      std::move(fault::repair(base, request.destinations, faults)->schedule));
+  built->finalize();
+  if (cacheable) cache_->put(tls.key, built);
+  return built;
 }
 
 std::shared_ptr<const core::MulticastSchedule> ServePipeline::serve_relative(
@@ -221,71 +203,15 @@ std::shared_ptr<const core::MulticastSchedule> ServePipeline::serve_relative(
   out->assign_translated(*rel, mask);
   out->finalize();
   // Publish the materialized translation under its absolute identity so
-  // the next identical request shares it without copying. The entry is
-  // pure translation (no fault dependence), hence epoch-immune.
+  // the next identical request shares it without copying.
   core::rekey(tls.key, /*absolute=*/true, mask);
-  cache_->put(tls.key, out, ScheduleCache::kEpochImmune);
+  cache_->put(tls.key, out);
   if (stats) {
     const std::uint64_t t_end = obs::now_ns();
     serve_metrics().translate_ns->record(t_end - t_translate);
     if (sampled) serve_metrics().serve_ns->record(t_end - t_start);
   }
   return out;
-}
-
-std::shared_ptr<const core::MulticastSchedule> ServePipeline::serve_absolute(
-    const core::MulticastRequest& request) const {
-  ServeTls& tls = serve_tls();
-  const bool stats = obs::stats_enabled();
-  bool sampled = false;
-  std::uint64_t t_start = 0;
-  if (stats) {
-    serve_metrics().requests->inc();
-    sampled = (tls.sample_tick++ & kSampleMask) == 0;
-    if (sampled) t_start = obs::now_ns();
-  }
-  core::canonical_key_into(request.topo, request.source, request.destinations,
-                           algo_id_, /*absolute=*/true,
-                           cache_->config().hash_seed, tls.key);
-  std::uint64_t t_probe = 0;
-  if (sampled) {
-    t_probe = obs::now_ns();
-    serve_metrics().canonicalize_ns->record(t_probe - t_start);
-  }
-  if (auto hit = cache_->get(tls.key)) {
-    if (sampled) {
-      const std::uint64_t t_end = obs::now_ns();
-      serve_metrics().hit_ns->record(t_end - t_probe);
-      serve_metrics().serve_ns->record(t_end - t_start);
-    }
-    return hit;
-  }
-  HYPERCAST_OBS_SPAN("serve.build");
-  const std::uint64_t t_build = stats ? obs::now_ns() : 0;
-  // Build-and-recheck: the epoch must be read *before* the build for
-  // the stamp to be safe, and read *again* after it — a bump landing
-  // mid-build may have swapped the registry entry under us, so the
-  // schedule we just built could reflect the retired FaultSet. On a
-  // mismatch, retry against the freshly resolved entry; if the epoch
-  // will not hold still (a bump storm), serve the last build uncached
-  // so nothing stale is ever stamped as current.
-  std::shared_ptr<core::MulticastSchedule> built;
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    const core::AlgorithmEntry& entry = resolved_entry();
-    const std::uint64_t epoch = fault::fault_epoch();
-    built = std::make_shared<core::MulticastSchedule>(entry.build(request));
-    built->finalize();
-    if (fault::fault_epoch() == epoch) {
-      cache_->put(tls.key, built, epoch);
-      break;
-    }
-  }
-  if (stats) {
-    const std::uint64_t t_end = obs::now_ns();
-    serve_metrics().build_ns->record(t_end - t_build);
-    if (sampled) serve_metrics().serve_ns->record(t_end - t_start);
-  }
-  return built;
 }
 
 std::shared_ptr<core::MulticastSchedule> ServePipeline::build_relative(
@@ -339,18 +265,8 @@ std::shared_ptr<const core::MulticastSchedule> ServePipeline::build_direct(
     case Kind::Entry:
       break;
   }
-  // Pass-through entries get the same resolve-and-recheck treatment as
-  // the cached absolute path: without it, a pipeline constructed before
-  // a register + bump_fault_epoch would keep building through the
-  // retired registration's captured FaultSet.
-  std::shared_ptr<core::MulticastSchedule> out;
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    const core::AlgorithmEntry& entry = resolved_entry();
-    const std::uint64_t epoch = fault::fault_epoch();
-    out = std::make_shared<core::MulticastSchedule>(entry.build(request));
-    out->finalize();
-    if (fault::fault_epoch() == epoch) break;
-  }
+  auto out = std::make_shared<core::MulticastSchedule>(entry_.build(request));
+  out->finalize();
   record_build(t_build);
   return out;
 }
@@ -395,8 +311,7 @@ ServePipeline::serve_batch(std::span<const core::MulticastRequest> requests,
   // Owner of request i: with a cache, its key's shard (so no two workers
   // ever touch the same stripe — hits resolve without lock contention);
   // without one, a contiguous chunk.
-  const bool shard_partition =
-      cache_ != nullptr && (kind_ != Kind::Entry || entry_cacheable_);
+  const bool shard_partition = cache_ != nullptr && kind_ != Kind::Entry;
   std::vector<std::uint32_t> owner(n, 0);
   std::mutex error_mu;
   std::exception_ptr error;
@@ -427,12 +342,11 @@ ServePipeline::serve_batch(std::span<const core::MulticastRequest> requests,
       core::CacheKey key;
       for (std::size_t i = w; i < n; i += workers) {
         // Partition by the identity serve() probes (and inserts) first:
-        // the absolute one for translated or registry requests, the
-        // relative one at the relative origin. The fallback probe of a
-        // cold relative entry may touch a foreign stripe, but that is a
-        // once-per-chain event, not the steady state.
-        const bool absolute =
-            kind_ == Kind::Entry || requests[i].source != 0;
+        // the absolute one for translated requests, the relative one at
+        // the relative origin. The fallback probe of a cold relative
+        // entry may touch a foreign stripe, but that is a once-per-chain
+        // event, not the steady state.
+        const bool absolute = requests[i].source != 0;
         core::canonical_key_into(requests[i].topo, requests[i].source,
                                  requests[i].destinations, algo_id_, absolute,
                                  cache_->config().hash_seed, key);
@@ -461,60 +375,34 @@ ServePipeline::serve_batch(std::span<const core::MulticastRequest> requests,
 StripedPlan ServePipeline::serve_striped(
     const core::MulticastRequest& request, std::size_t payload_bytes,
     const StripeOptions& options) const {
-  if (payload_bytes < options.threshold_bytes || request.topo.dim() < 2) {
-    StripedPlan plan;
-    plan.payload_bytes = payload_bytes;
-    plan.stripe_bytes = payload_bytes;
-    plan.trees.push_back(serve(request));
-    return plan;
-  }
-  return StripedPlanner(options, cache_).plan(request, payload_bytes);
+  return striped(request, payload_bytes, options, nullptr);
 }
 
 StripedPlan ServePipeline::serve_striped(
     const core::MulticastRequest& request, std::size_t payload_bytes,
     const StripeOptions& options, const fault::FaultSet& faults) const {
+  return striped(request, payload_bytes, options, &faults);
+}
+
+StripedPlan ServePipeline::striped(const core::MulticastRequest& request,
+                                   std::size_t payload_bytes,
+                                   const StripeOptions& options,
+                                   const fault::FaultSet* faults) const {
   if (payload_bytes < options.threshold_bytes || request.topo.dim() < 2) {
     StripedPlan plan;
     plan.payload_bytes = payload_bytes;
     plan.stripe_bytes = payload_bytes;
     auto tree = serve(request);
-    if (fault::blocked_unicasts(*tree, faults) != 0) {
-      // Degraded single-tree fallback. The repaired tree depends on the
-      // absolute fault set, so it caches like the striped planner's
-      // repaired trees: an absolute key under a dedicated algorithm id,
-      // salted with the fault fingerprint and stamped with the live
-      // fault epoch (bump_fault_epoch() invalidates it lazily).
-      constexpr std::uint8_t kFallbackRepairAlgoId = 191;
-      std::shared_ptr<const core::MulticastSchedule> repaired;
-      ServeTls* tls = nullptr;
-      if (cache_ != nullptr) {
-        tls = &serve_tls();
-        core::canonical_key_into(request.topo, request.source,
-                                 request.destinations, kFallbackRepairAlgoId,
-                                 /*absolute=*/true, cache_->config().hash_seed,
-                                 tls->key);
-        core::set_salt(tls->key,
-                       faults.fingerprint(cache_->config().hash_seed));
-        repaired = cache_->get(tls->key);
-      }
-      if (repaired == nullptr) {
-        auto built = std::make_shared<core::MulticastSchedule>(
-            fault::repair_schedule(*tree, request.destinations, faults)
-                .schedule);
-        built->finalize();
-        if (tls != nullptr) {
-          cache_->put(tls->key, built, fault::fault_epoch());
-        }
-        repaired = std::move(built);
-      }
-      tree = std::move(repaired);
+    if (faults != nullptr && fault::blocked_unicasts(*tree, *faults) != 0) {
+      tree = repaired(request, *tree, *faults);
       plan.repaired_trees = 1;
     }
     plan.trees.push_back(std::move(tree));
     return plan;
   }
-  return StripedPlanner(options, cache_).plan(request, payload_bytes, faults);
+  const StripedPlanner planner(options, cache_);
+  return faults != nullptr ? planner.plan(request, payload_bytes, *faults)
+                           : planner.plan(request, payload_bytes);
 }
 
 ServePipeline::CoschedBatch ServePipeline::serve_batch_cosched(

@@ -1,7 +1,6 @@
 #ifndef HYPERCAST_COLL_SERVE_PIPELINE_HPP
 #define HYPERCAST_COLL_SERVE_PIPELINE_HPP
 
-#include <atomic>
 #include <memory>
 #include <span>
 #include <string>
@@ -12,6 +11,7 @@
 #include "coll/striped.hpp"
 #include "core/chain_algorithms.hpp"
 #include "core/registry.hpp"
+#include "fault/fault_set.hpp"
 
 namespace hypercast::coll {
 
@@ -29,14 +29,15 @@ namespace hypercast::coll {
 ///    (paying the XOR relabeling copy once per (source, shape) pair).
 ///    In steady state a hit is zero-copy: key canonicalization plus a
 ///    shared_ptr share, never a construction and never a copy.
-///  * "<algo>-ft" fault-aware variants — repairs depend on the absolute
-///    fault positions, so these cache under absolute keys (source folded
-///    in, shared back without translation) and are invalidated by fault
-///    epoch bumps.
 ///  * anything else (separate, sftree, other registered entries) — the
 ///    output may depend on caller-supplied destination *order*, which
 ///    canonicalization erases, so these are served pass-through
 ///    (built per request, never cached).
+///
+/// Faults are values: serve(request, faults) and the faulted
+/// serve_striped repair against the fault set they are handed, and a
+/// cached repair is keyed by that set's exact content, so a new fault
+/// set is a new key and nothing is ever invalidated.
 ///
 /// Misses build through a thread-local core::TreeBuilder, so a pipeline
 /// shared by many worker threads reaches the same zero-allocation steady
@@ -57,6 +58,15 @@ class ServePipeline {
   /// malformed requests (same contract as MulticastRequest::validate).
   std::shared_ptr<const core::MulticastSchedule> serve(
       const core::MulticastRequest& request) const;
+
+  /// Serve one request on a faulted cube: the tree serve(request) would
+  /// return when no unicast of it is blocked by `faults`, otherwise its
+  /// greedy repair (fault::repair), cached per (request, fault set) for
+  /// the translation-invariant algorithms. Throws
+  /// fault::UnrepairableFault when a destination is unreachable.
+  std::shared_ptr<const core::MulticastSchedule> serve(
+      const core::MulticastRequest& request,
+      const fault::FaultSet& faults) const;
 
   /// Batch-serving policy. The default (1 thread, no deadline) serves
   /// the whole batch sequentially.
@@ -115,9 +125,9 @@ class ServePipeline {
 
   /// Degraded-mode serve_striped: striped plans swap the most-affected
   /// tree onto the parity stripe and detour-repair the rest (see
-  /// StripedPlanner); the single-tree fallback is detour-repaired when a
-  /// fault blocks it. Throws fault::UnrepairableFault when a destination
-  /// is unreachable.
+  /// StripedPlanner); the single-tree fallback is served as by
+  /// serve(request, faults). Throws fault::UnrepairableFault when a
+  /// destination is unreachable.
   StripedPlan serve_striped(const core::MulticastRequest& request,
                             std::size_t payload_bytes,
                             const StripeOptions& options,
@@ -135,39 +145,37 @@ class ServePipeline {
   enum class Kind {
     Chain,   ///< ucube / maxport / combine: TreeBuilder + NextRule
     Wsort,   ///< weighted_sort permutation + HighDim rule
-    Entry,   ///< registry entry; cacheable only under absolute keys
+    Entry,   ///< registry entry, served pass-through
   };
 
   std::shared_ptr<const core::MulticastSchedule> serve_relative(
       const core::MulticastRequest& request) const;
-  std::shared_ptr<const core::MulticastSchedule> serve_absolute(
-      const core::MulticastRequest& request) const;
   std::shared_ptr<const core::MulticastSchedule> build_direct(
       const core::MulticastRequest& request) const;
+
+  /// The repair of `base` (this pipeline's tree for `request`) against
+  /// `faults`, through the cache when the algorithm is cacheable.
+  std::shared_ptr<const core::MulticastSchedule> repaired(
+      const core::MulticastRequest& request,
+      const core::MulticastSchedule& base,
+      const fault::FaultSet& faults) const;
+
+  /// Both serve_striped overloads; `faults` may be nullptr.
+  StripedPlan striped(const core::MulticastRequest& request,
+                      std::size_t payload_bytes, const StripeOptions& options,
+                      const fault::FaultSet* faults) const;
 
   /// Build the relative schedule a canonical key denotes (source 0,
   /// destinations reconstructed from the key words), finalized.
   std::shared_ptr<core::MulticastSchedule> build_relative(
       const core::Topology& topo, const core::CacheKey& key) const;
 
-  /// The registry entry serving Kind::Entry requests, re-resolved
-  /// whenever the fault epoch moves. register_fault_aware_algorithms
-  /// replaces entries in place and bumps the epoch; a pipeline that
-  /// kept the pointer it resolved at construction would build through
-  /// the *retired* registration (capturing the old FaultSet) forever —
-  /// and stamp those stale builds with the current epoch, so the cache
-  /// would serve them as fresh. Epoch-checked resolution plus the
-  /// post-build epoch recheck in serve_absolute/build_direct closes
-  /// both holes.
-  const core::AlgorithmEntry& resolved_entry() const;
-
   std::string algorithm_;
   Kind kind_ = Kind::Entry;
   core::NextRule rule_ = core::NextRule::Center;
-  /// Kind::Entry only; epoch-stamped cache of find_algorithm(algorithm_).
-  mutable std::atomic<const core::AlgorithmEntry*> entry_{nullptr};
-  mutable std::atomic<std::uint64_t> entry_epoch_{0};
-  bool entry_cacheable_ = false;                 ///< "-ft" entries
+  /// Kind::Entry only: a copy of find_algorithm(algorithm_), resolved
+  /// once at construction.
+  core::AlgorithmEntry entry_;
   std::uint8_t algo_id_ = 0;
   std::shared_ptr<ScheduleCache> cache_;
 };

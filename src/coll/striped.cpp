@@ -4,9 +4,8 @@
 #include <stdexcept>
 
 #include "code/rs.hpp"
-#include "fault/fault_aware.hpp"
+#include "fault/repair.hpp"
 #include "obs/registry.hpp"
-#include "paths/repair.hpp"
 
 namespace hypercast::coll {
 
@@ -19,7 +18,7 @@ namespace {
 /// assignment schemes cannot collide until ~220 distinct registered
 /// names exist — far beyond anything the registry holds. Degraded-mode
 /// repaired trees take a second block below it: they are absolute,
-/// fault-dependent entries salted by fault fingerprint + parity config.
+/// fault-dependent entries scoped to their fault set + parity config.
 constexpr std::uint8_t kIstAlgoBase = 224;
 constexpr std::uint8_t kIstRepairAlgoBase = 192;
 
@@ -218,7 +217,7 @@ std::shared_ptr<const core::MulticastSchedule> StripedPlanner::serve_tree(
   // The serving pipeline's two-level scheme, one instance per tree: the
   // relative IST tree caches under the canonical relative chain (built
   // once per chain shape, shared by every source), and each materialized
-  // translation under its absolute identity (epoch-immune pure copy).
+  // translation under its absolute identity (a pure copy).
   StripedTls& tls = striped_tls();
   const core::NodeId mask = request.source;
   core::canonical_key_into(request.topo, request.source, request.destinations,
@@ -244,36 +243,19 @@ std::shared_ptr<const core::MulticastSchedule> StripedPlanner::serve_tree(
   out->assign_translated(*rel, mask);
   out->finalize();
   core::rekey(tls.key, /*absolute=*/true, mask);
-  cache_->put(tls.key, out, ScheduleCache::kEpochImmune);
+  cache_->put(tls.key, out);
   return out;
 }
 
-std::shared_ptr<const core::MulticastSchedule> StripedPlanner::cached_repair(
+const core::CacheKey& StripedPlanner::repair_key(
     const core::MulticastRequest& request, hcube::Dim tree,
-    std::uint64_t salt) const {
-  if (cache_ == nullptr) return nullptr;
+    const fault::FaultSet& faults, std::uint64_t salt) const {
   StripedTls& tls = striped_tls();
   core::canonical_key_into(request.topo, request.source, request.destinations,
                            ist_repair_algo_id(tree), /*absolute=*/true,
                            cache_->config().hash_seed, tls.key);
-  core::set_salt(tls.key, salt);
-  return cache_->get(tls.key);
-}
-
-void StripedPlanner::cache_repair(
-    const core::MulticastRequest& request, hcube::Dim tree,
-    std::uint64_t salt,
-    const std::shared_ptr<const core::MulticastSchedule>& schedule) const {
-  if (cache_ == nullptr) return;
-  StripedTls& tls = striped_tls();
-  core::canonical_key_into(request.topo, request.source, request.destinations,
-                           ist_repair_algo_id(tree), /*absolute=*/true,
-                           cache_->config().hash_seed, tls.key);
-  core::set_salt(tls.key, salt);
-  // Stamped with the live fault epoch, NOT kEpochImmune: a repaired
-  // tree is a function of the absolute fault set, so bump_fault_epoch()
-  // must invalidate it like every fault-dependent entry.
-  cache_->put(tls.key, schedule, fault::fault_epoch());
+  core::scope_to_faults(tls.key, faults.ids(), salt);
+  return tls.key;
 }
 
 StripedPlan StripedPlanner::plan(const core::MulticastRequest& request,
@@ -349,9 +331,8 @@ StripedPlan StripedPlanner::plan(const core::MulticastRequest& request,
   }
   if (!to_repair.empty()) {
     // Salt for the degraded-entry cache keys: the repaired tree is a
-    // function of the fault set, the parity config and the drop
-    // decisions, all of which are deterministic given the request — so
-    // fold them all in and let the fault epoch handle invalidation.
+    // function of the fault set (whose ids the key carries in full), the
+    // parity config and the drop decisions — fold them all in.
     std::uint64_t drop_mask = 0;
     for (const int d : out.dropped_trees) drop_mask |= std::uint64_t{1} << d;
     std::uint64_t salt =
@@ -361,8 +342,8 @@ StripedPlan StripedPlanner::plan(const core::MulticastRequest& request,
 
     // Tier 2 — certified disjoint repair: every surviving untouched
     // tree claims its footprint, and each damaged tree is patched
-    // through the remaining free arcs (paths::repair_disjoint), so the
-    // repaired family stays pairwise arc-disjoint by construction.
+    // through the remaining free arcs (fault::repair's certified tier),
+    // so the repaired family stays pairwise arc-disjoint by construction.
     core::ArcOwnerTable owners(request.topo);
     for (std::size_t t = 0; t < n; ++t) {
       if (!out.dropped(t) && blocked[t] == 0) {
@@ -370,25 +351,28 @@ StripedPlan StripedPlanner::plan(const core::MulticastRequest& request,
       }
     }
     for (const int t : to_repair) {
-      if (auto hit =
-              cached_repair(request, static_cast<hcube::Dim>(t), salt)) {
+      const auto tree = static_cast<std::size_t>(t);
+      // Thread-local scratch; nothing below re-keys it before the put.
+      const core::CacheKey* key =
+          cache_ ? &repair_key(request, t, faults, salt) : nullptr;
+      auto hit = key ? cache_->get(*key) : nullptr;
+      if (hit != nullptr) {
         // Only certified disjoint repairs are ever cached, so a hit
         // re-claims its footprint and keeps the certificate.
-        out.trees[static_cast<std::size_t>(t)] = hit;
+        out.trees[tree] = hit;
         owners.claim_schedule(*hit, t);
         ++out.repaired_disjoint;
         bump("striped.repair_cached");
         continue;
       }
-      std::optional<paths::DisjointRepairResult> res = paths::repair_disjoint(
-          *out.trees[static_cast<std::size_t>(t)], request.destinations,
-          faults, owners, t);
+      std::optional<fault::RepairResult> res = fault::repair(
+          *out.trees[tree], request.destinations, faults, &owners, t);
       if (res) {
         auto fixed = finalized(std::move(res->schedule));
-        out.trees[static_cast<std::size_t>(t)] = fixed;
+        out.trees[tree] = fixed;
         ++out.repaired_disjoint;
         bump("striped.repair_disjoint");
-        cache_repair(request, static_cast<hcube::Dim>(t), salt, fixed);
+        if (key) cache_->put(*key, fixed);
         continue;
       }
       // Tier 3 — greedy detours: delivery at the price of
@@ -397,11 +381,10 @@ StripedPlan StripedPlanner::plan(const core::MulticastRequest& request,
       // UnrepairableFault when even greedy routing cannot deliver
       // (e.g. a root-blocked tree with no drop budget and no freed
       // arcs).
-      fault::FaultAwareResult greedy = fault::repair_schedule(
-          *out.trees[static_cast<std::size_t>(t)], request.destinations,
-          faults);
-      auto fixed = finalized(std::move(greedy.schedule));
-      out.trees[static_cast<std::size_t>(t)] = fixed;
+      auto fixed = finalized(std::move(
+          fault::repair(*out.trees[tree], request.destinations, faults)
+              ->schedule));
+      out.trees[tree] = fixed;
       owners.claim_schedule(*fixed, t);
       ++out.repaired_greedy;
       out.certified_disjoint = false;

@@ -25,15 +25,15 @@ namespace hypercast::coll {
 /// Fault tolerance: with k >= 1 parity stripes the payload splits into
 /// n - k data stripes plus k GF(256) Reed-Solomon parity stripes
 /// (code/rs.hpp; k == 1 is the classic XOR stripe), so receivers
-/// survive ANY k lost stripes. When a fault epoch lands the planner
-/// walks a repair-tier ladder per damaged tree (docs/STRIPING.md §3):
+/// survive ANY k lost stripes. When a fault set damages trees the
+/// planner walks a repair-tier ladder per damaged tree
+/// (docs/STRIPING.md §3):
 ///   1. drop — up to k damaged trees (root-blocked ones first) are
 ///      dropped outright and their stripes RS-reconstructed;
-///   2. disjoint repair — remaining damage is patched by
-///      paths::repair_disjoint, provably arc-disjoint from every other
-///      surviving tree (certified: the striped launch keeps its
-///      contention-freedom);
-///   3. greedy detours — fault::repair_schedule as the last resort,
+///   2. disjoint repair — remaining damage is patched by fault::repair's
+///      certified tier, provably arc-disjoint from every other surviving
+///      tree (the striped launch keeps its contention-freedom);
+///   3. greedy detours — fault::repair's greedy tier as the last resort,
 ///      delivering at the price of arc-disjointness
 ///      (certified_disjoint drops to false).
 struct StripeOptions {
@@ -72,8 +72,8 @@ struct StripedPlan {
                                    ///< stripes are RS-reconstructed at
                                    ///< the receivers
   std::size_t repaired_trees = 0;    ///< total patched trees
-  std::size_t repaired_disjoint = 0; ///< via paths::repair_disjoint
-  std::size_t repaired_greedy = 0;   ///< via fault::repair_schedule
+  std::size_t repaired_disjoint = 0; ///< via fault::repair, certified
+  std::size_t repaired_greedy = 0;   ///< via fault::repair, greedy
   bool certified_disjoint = true;  ///< active trees pairwise arc-disjoint
                                    ///< by construction (no greedy tier)
   bool verified = false;  ///< owner-table verification ran on this plan
@@ -140,10 +140,9 @@ std::vector<std::uint8_t> reassemble_stripes(
 /// algorithm id (IST construction is translation-invariant, so one
 /// cached tree serves every source via XOR materialization, exactly
 /// like the serving pipeline's chain algorithms). Degraded-mode
-/// repaired trees cache under *absolute* keys salted with the fault
-/// fingerprint + parity config and stamped with the fault epoch, so
-/// bump_fault_epoch() invalidates them like every fault-dependent
-/// entry.
+/// repaired trees cache under *absolute* keys that carry the exact
+/// fault set, salted with its fingerprint + the parity config and drop
+/// decisions, so each fault set has entries of its own.
 class StripedPlanner {
  public:
   explicit StripedPlanner(StripeOptions options = {},
@@ -177,13 +176,11 @@ class StripedPlanner {
   std::shared_ptr<const core::MulticastSchedule> serve_tree(
       const core::MulticastRequest& request, hcube::Dim tree) const;
 
-  std::shared_ptr<const core::MulticastSchedule> cached_repair(
-      const core::MulticastRequest& request, hcube::Dim tree,
-      std::uint64_t salt) const;
-  void cache_repair(
-      const core::MulticastRequest& request, hcube::Dim tree,
-      std::uint64_t salt,
-      const std::shared_ptr<const core::MulticastSchedule>& schedule) const;
+  /// The cache key of tree `tree`'s repair (thread-local scratch).
+  const core::CacheKey& repair_key(const core::MulticastRequest& request,
+                                   hcube::Dim tree,
+                                   const fault::FaultSet& faults,
+                                   std::uint64_t salt) const;
 
   bool should_verify(hcube::Dim dim) const;
 

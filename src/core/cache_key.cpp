@@ -111,7 +111,9 @@ void canonical_key_into(const Topology& topo, NodeId source,
   // e.g. the same relative chain under the two resolution orders, or
   // under two algorithms, never collides structurally.
   out.words_hash = hash_words(out.words, seed);
-  out.salt = 0;  // `out` is recycled scratch; salting is opt-in afterwards
+  // `out` is recycled scratch; fault scoping is opt-in afterwards.
+  out.salt = 0;
+  out.faults.clear();
   rekey(out, absolute, source);
 }
 
@@ -130,7 +132,9 @@ void rekey(CacheKey& key, bool absolute, NodeId source) {
   key.hash = hash_words(header, key.words_hash);
 }
 
-void set_salt(CacheKey& key, std::uint64_t salt) {
+void scope_to_faults(CacheKey& key, std::span<const std::uint32_t> fault_ids,
+                     std::uint64_t salt) {
+  key.faults.assign(fault_ids.begin(), fault_ids.end());
   key.salt = salt;
   rekey(key, key.absolute, key.source);
 }

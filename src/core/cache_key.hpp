@@ -23,7 +23,8 @@ namespace hypercast::core {
 /// Requests whose schedules are NOT translation-invariant (fault-aware
 /// repairs depend on absolute link positions) set `absolute`: the source
 /// is then folded into the identity and the cached schedule is only
-/// reusable at mask 0.
+/// reusable at mask 0. A repaired schedule is also a function of its
+/// fault set, whose content joins the identity (see scope_to_faults).
 struct CacheKey {
   std::uint8_t algo = 0;        ///< opaque algorithm id (cache-owner scoped)
   bool absolute = false;        ///< source folded in; no XOR materialization
@@ -31,9 +32,8 @@ struct CacheKey {
   std::uint8_t res = 0;         ///< hcube::Resolution
   NodeId source = 0;            ///< 0 unless `absolute`
   std::uint64_t salt = 0;       ///< extra identity scope (0 = none): the
-                                ///< striping layer keys degraded plans by a
-                                ///< fault-set fingerprint + parity config so
-                                ///< two fault sets never alias in one epoch
+                                ///< fault set's fingerprint, mixed with
+                                ///< e.g. the striping parity config
   std::uint64_t hash = 0;       ///< seeded FNV-1a over the fields + words
   std::uint64_t words_hash = 0; ///< hash of the words alone (rekey cache)
 
@@ -41,16 +41,21 @@ struct CacheKey {
   /// the destinations (the source's relative key, 0, is omitted).
   std::vector<std::uint32_t> words;
 
+  /// The fault set a repaired entry depends on, as its sorted ids
+  /// (fault::FaultSet::ids()); empty for fault-independent entries.
+  std::vector<std::uint32_t> faults;
+
   /// Full equality (hash is a cached fingerprint, not the identity).
   friend bool operator==(const CacheKey& a, const CacheKey& b) {
     return a.hash == b.hash && a.algo == b.algo && a.absolute == b.absolute &&
            a.dim == b.dim && a.res == b.res && a.source == b.source &&
-           a.salt == b.salt && a.words == b.words;
+           a.salt == b.salt && a.words == b.words && a.faults == b.faults;
   }
 
   /// Heap bytes this key pins inside a cache entry.
   std::size_t footprint_bytes() const {
-    return sizeof(CacheKey) + words.capacity() * sizeof(std::uint32_t);
+    return sizeof(CacheKey) +
+           (words.capacity() + faults.capacity()) * sizeof(std::uint32_t);
   }
 };
 
@@ -83,10 +88,13 @@ void canonical_key_into(const Topology& topo, NodeId source,
 /// relative level on one canonicalization pass.
 void rekey(CacheKey& key, bool absolute, NodeId source);
 
-/// Set the identity salt and re-fold the header hash (same cost as
-/// rekey). canonical_key_into always resets the salt to 0; callers that
-/// scope entries (fault fingerprint, parity config) salt afterwards.
-void set_salt(CacheKey& key, std::uint64_t salt);
+/// Scope a key to one fault set: its sorted ids (fault::FaultSet::ids())
+/// join the identity, and `salt` — their fingerprint, optionally mixed
+/// with further configuration that is part of the identity — is folded
+/// into the header hash (same cost as rekey). canonical_key_into always
+/// resets both; callers scope afterwards.
+void scope_to_faults(CacheKey& key, std::span<const std::uint32_t> fault_ids,
+                     std::uint64_t salt);
 
 /// Reconstruct the relative build chain a canonical key denotes: node 0
 /// (the relative source) followed by unkey(word) for each word, which is

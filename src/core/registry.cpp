@@ -60,10 +60,10 @@ void register_algorithm(AlgorithmEntry entry) {
                                   "' would shadow a built-in algorithm");
     }
   }
-  for (AlgorithmEntry& e : registered()) {
+  for (const AlgorithmEntry& e : registered()) {
     if (e.name == entry.name) {
-      e = std::move(entry);
-      return;
+      throw std::invalid_argument("register_algorithm: '" + entry.name +
+                                  "' is already registered");
     }
   }
   registered().push_back(std::move(entry));

@@ -31,10 +31,11 @@ std::span<const AlgorithmEntry> all_algorithms();
 /// CLI typos are self-diagnosing.
 const AlgorithmEntry& find_algorithm(std::string_view name);
 
-/// Register an additional algorithm (e.g. a fault-aware wrapper) under
-/// its entry's name, replacing an earlier registration of the same
-/// name. Built-in names cannot be shadowed (std::invalid_argument).
-/// The entry becomes visible to find_algorithm and registered_algorithms.
+/// Register an additional algorithm under its entry's name. Names are
+/// unique: a built-in or already registered name throws
+/// std::invalid_argument (an entry is never replaced, so a pipeline that
+/// resolved it keeps building through exactly what it resolved). The
+/// entry becomes visible to find_algorithm and registered_algorithms.
 void register_algorithm(AlgorithmEntry entry);
 
 /// The dynamically registered entries, in registration order.

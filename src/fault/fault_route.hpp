@@ -13,7 +13,7 @@ namespace hypercast::fault {
 /// Detour-routing primitives for repairing multicast trees over a
 /// faulted cube. Both searches return a *node path* (u; w1; ...; v):
 /// consecutive nodes adjacent, every traversed arc live, every
-/// intermediate node live. The wrapper in fault_aware.cpp decomposes
+/// intermediate node live. fault::repair (fault/repair.hpp) decomposes
 /// such a path into E-cube-exact segments (see segment_endpoints).
 
 using NodePath = std::vector<NodeId>;
@@ -39,9 +39,9 @@ std::optional<NodePath> bfs_detour(const Topology& topo,
                                    const FaultSet& faults, NodeId u, NodeId v,
                                    const std::vector<bool>* banned = nullptr);
 
-/// Admission predicate over directed arcs — the hook the disjoint-path
-/// router (paths/disjoint.hpp) uses to exclude channels owned by other
-/// spanning trees. Arcs the fault set kills are excluded regardless.
+/// Admission predicate over directed arcs — the hook fault::repair's
+/// certified tier uses to exclude channels owned by other spanning
+/// trees. Arcs the fault set kills are excluded regardless.
 using ArcFilter = std::function<bool(Arc)>;
 
 /// The generalized search the two detours above are special cases of: a

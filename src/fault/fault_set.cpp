@@ -1,10 +1,23 @@
 #include "fault/fault_set.hpp"
 
+#include <algorithm>
 #include <deque>
 #include <sstream>
 #include <stdexcept>
 
+#include "core/cache_key.hpp"
+
 namespace hypercast::fault {
+
+namespace {
+
+constexpr std::uint32_t kDeadNodeTag = std::uint32_t{1} << 31;
+
+void insert_sorted(std::vector<std::uint32_t>& ids, std::uint32_t id) {
+  ids.insert(std::lower_bound(ids.begin(), ids.end(), id), id);
+}
+
+}  // namespace
 
 Link link_of(const Topology& topo, Arc a) {
   const NodeId other = topo.neighbor(a.from, a.dim);
@@ -25,6 +38,7 @@ void FaultSet::fail_link(NodeId u, Dim d) {
   if (link_down_[idx]) return;
   link_down_[idx] = true;
   failed_links_.push_back(link);
+  insert_sorted(ids_, static_cast<std::uint32_t>(idx));
 }
 
 void FaultSet::fail_node(NodeId u) {
@@ -34,6 +48,7 @@ void FaultSet::fail_node(NodeId u) {
   if (dead_node_[u]) return;
   dead_node_[u] = true;
   failed_nodes_.push_back(u);
+  insert_sorted(ids_, kDeadNodeTag | static_cast<std::uint32_t>(u));
 }
 
 bool FaultSet::link_failed(NodeId u, Dim d) const {
@@ -89,28 +104,7 @@ bool FaultSet::surviving_connected() const {
 }
 
 std::uint64_t FaultSet::fingerprint(std::uint64_t seed) const {
-  // FNV-1a 64 with a splitmix64 tail, matching core::hash_words'
-  // spirit without pulling core/ in: fold the link (low, dim) pairs and
-  // the dead nodes with distinct tags so a link and a node never alias.
-  constexpr std::uint64_t kPrime = 0x100000001b3ull;
-  std::uint64_t h = 0xcbf29ce484222325ull ^ (seed * 0x9e3779b97f4a7c15ull);
-  auto fold = [&h](std::uint64_t w) {
-    h ^= w;
-    h *= kPrime;
-  };
-  for (const Link& l : failed_links_) {
-    fold((std::uint64_t{1} << 62) | (std::uint64_t{l.low} << 8) |
-         static_cast<std::uint64_t>(l.dim));
-  }
-  for (const NodeId n : failed_nodes_) {
-    fold((std::uint64_t{2} << 62) | std::uint64_t{n});
-  }
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ull;
-  h ^= h >> 27;
-  h *= 0x94d049bb133111ebull;
-  h ^= h >> 31;
-  return h;
+  return core::hash_words(ids_, seed);
 }
 
 std::string FaultSet::format() const {

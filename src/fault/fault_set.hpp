@@ -82,12 +82,15 @@ class FaultSet {
   /// "3 failed links (0010-0110, ...), 1 dead node (0101)".
   std::string format() const;
 
-  /// 64-bit fingerprint of the fault membership, mixed from `seed` —
-  /// what the striping layer salts degraded cache entries with so two
-  /// fault sets never alias within one fault epoch. Insertion-order
-  /// dependent (two equal sets built in different orders may differ):
-  /// that costs at most a cache miss, never a wrong hit, because the
-  /// salt only partitions the key space.
+  /// The fault set's content as sorted 32-bit ids — a failed link as
+  /// the arc index of its low arc, a dead node tagged with the top bit —
+  /// independent of insertion order. Cache keys compare these in full,
+  /// so a fault-dependent entry is keyed by exactly its fault set.
+  const std::vector<std::uint32_t>& ids() const { return ids_; }
+
+  /// 64-bit hash of ids(), mixed from `seed`: what spreads the entries
+  /// of distinct fault sets across the cache's hash space. Equal sets
+  /// hash equal whatever order their faults were inserted in.
   std::uint64_t fingerprint(std::uint64_t seed = 0) const;
 
  private:
@@ -96,6 +99,7 @@ class FaultSet {
   std::vector<bool> dead_node_;
   std::vector<Link> failed_links_;
   std::vector<NodeId> failed_nodes_;
+  std::vector<std::uint32_t> ids_;  ///< sorted; see ids()
 };
 
 }  // namespace hypercast::fault

@@ -1,13 +1,17 @@
-// Fault-aware wrapper: under every single-link fault of a 4-cube, every
-// paper algorithm's repaired tree still reaches every destination, and
-// no unicast of the repaired tree ever touches a failed resource — the
-// latter proved twice, statically against the FaultSet and dynamically
-// by the simulator's hard-error path.
+// Greedy fault repair (fault::repair without an owner table): under every
+// single-link fault of a 4-cube, every paper algorithm's repaired tree
+// still reaches every destination, and no unicast of the repaired tree
+// ever touches a failed resource — the latter proved twice, statically
+// against the FaultSet and dynamically by the simulator's hard-error
+// path. Also: fault-aware serving takes the fault set as a value.
+
+#include <algorithm>
 
 #include <gtest/gtest.h>
 
-#include "fault/fault_aware.hpp"
+#include "coll/serve_pipeline.hpp"
 #include "fault/fault_inject.hpp"
+#include "fault/repair.hpp"
 #include "sim/wormhole_sim.hpp"
 #include "test_util.hpp"
 #include "workload/patterns.hpp"
@@ -60,7 +64,7 @@ std::vector<core::MulticastRequest> sample_requests(const Topology& topo) {
   // Broadcast from 0 (the worst case: every link matters).
   reqs.push_back({topo, 0, workload::broadcast_destinations(topo, 0)});
   // Random sets of several sizes and sources, deterministic seeds.
-  for (const auto [m, trial] : {std::pair<std::size_t, std::uint64_t>{3, 0},
+  for (const auto& [m, trial] : {std::pair<std::size_t, std::uint64_t>{3, 0},
                                 {7, 1},
                                 {11, 2}}) {
     workload::Rng rng(workload::derive_seed(0xFA017, m, trial));
@@ -196,24 +200,35 @@ TEST(FaultAwareMulticast, RandomMultiFaultScenariosOn5Cube) {
   }
 }
 
-TEST(FaultAwareRegistry, VariantsRegisterAndResolve) {
+// Faults are values: serve(request, faults) hands back the pipeline's
+// own tree untouched when no unicast of it is blocked, and the greedy
+// repair of that tree when one is — for every paper algorithm, with the
+// fault set passed per call instead of registered.
+TEST(FaultAwareServe, RepairsOnlyBlockedTrees) {
   const Topology topo(4);
-  auto fs = std::make_shared<FaultSet>(topo);
-  fs->fail_link(0, 0);
-  fault::register_fault_aware_algorithms(fs);
-  const auto& entry = core::find_algorithm("wsort-ft");
-  EXPECT_EQ(entry.display, "W-sort+FT");
-  const core::MulticastRequest req{topo, 0, {1, 6, 9}};
-  const auto schedule = entry.build(req);
-  EXPECT_TRUE(schedule.covers(req.destinations));
-  EXPECT_TRUE(no_unicast_blocked(schedule, *fs));
-  // Re-registering (a new fault set) replaces, not duplicates.
-  fault::register_fault_aware_algorithms(std::make_shared<FaultSet>(topo));
-  std::size_t wsort_ft = 0;
-  for (const auto& e : core::registered_algorithms()) {
-    if (e.name == "wsort-ft") ++wsort_ft;
+  auto cache = std::make_shared<coll::ScheduleCache>();
+  FaultSet fs(topo);
+  fs.fail_link(0, 0);
+  const core::MulticastRequest blocked{topo, 0, {1, 6, 9}};
+  const core::MulticastRequest clear{topo, 0, {12, 14}};
+  for (const auto& algo : core::paper_algorithms()) {
+    for (const auto& cached : {cache, std::shared_ptr<coll::ScheduleCache>()}) {
+      const coll::ServePipeline pipeline(algo.name, cached);
+      const auto base = pipeline.serve(clear);
+      ASSERT_EQ(fault::blocked_unicasts(*base, fs), 0u) << algo.name;
+      EXPECT_TRUE(*pipeline.serve(clear, fs) == *base) << algo.name;
+
+      const auto repaired = pipeline.serve(blocked, fs);
+      EXPECT_TRUE(*repaired ==
+                  fault::fault_aware_multicast(algo, blocked, fs).schedule)
+          << algo.name;
+      EXPECT_TRUE(repaired->covers(blocked.destinations));
+      EXPECT_TRUE(no_unicast_blocked(*repaired, fs)) << algo.name;
+    }
   }
-  EXPECT_EQ(wsort_ft, 1u);
+  // No registry name carries a fault set: wsort-ft is unknown.
+  EXPECT_THROW(coll::ServePipeline("wsort-ft", nullptr),
+               std::invalid_argument);
 }
 
 TEST(FaultAwareRegistry, UnknownNameListsKnownAlgorithms) {
@@ -226,13 +241,27 @@ TEST(FaultAwareRegistry, UnknownNameListsKnownAlgorithms) {
     EXPECT_NE(what.find("ucube"), std::string::npos) << what;
     EXPECT_NE(what.find("wsort"), std::string::npos) << what;
   }
-  EXPECT_THROW(
-      core::register_algorithm(core::AlgorithmEntry{
-          "ucube", "shadow",
-          [](const core::MulticastRequest& r) {
-            return core::MulticastSchedule(r.topo, r.source);
-          }}),
-      std::invalid_argument);
+  const auto empty_tree = [](const core::MulticastRequest& r) {
+    return core::MulticastSchedule(r.topo, r.source);
+  };
+  EXPECT_THROW(core::register_algorithm(
+                   core::AlgorithmEntry{"ucube", "shadow", empty_tree}),
+               std::invalid_argument);
+
+  // Registered names are unique too: a second registration throws and
+  // the first entry stays in place (never replaced under a live user).
+  const std::string name = "registry-duplicate-probe";
+  if (std::ranges::none_of(core::registered_algorithms(),
+                           [&](const auto& e) { return e.name == name; })) {
+    core::register_algorithm(core::AlgorithmEntry{name, "first", empty_tree});
+  }
+  EXPECT_THROW(core::register_algorithm(
+                   core::AlgorithmEntry{name, "second", empty_tree}),
+               std::invalid_argument);
+  EXPECT_EQ(core::find_algorithm(name).display, "first");
+  EXPECT_EQ(std::ranges::count_if(core::registered_algorithms(),
+                                  [&](const auto& e) { return e.name == name; }),
+            1);
 }
 
 }  // namespace

@@ -15,8 +15,8 @@
 #include "core/tree_builder.hpp"
 #include "core/weighted_sort.hpp"
 #include "core/wsort.hpp"
-#include "fault/fault_aware.hpp"
 #include "fault/fault_inject.hpp"
+#include "fault/repair.hpp"
 #include "hcube/bits.hpp"
 #include "hcube/chain.hpp"
 #include "test_util.hpp"
@@ -224,8 +224,8 @@ INSTANTIATE_TEST_SUITE_P(Resolutions, GoldenEqualityFiveCube,
                          });
 
 // ---------------------------------------------------------------------------
-// Fault-aware variants: repairing a reference-built base must equal
-// repairing a flat-built base, send for send.
+// Fault-aware repair (greedy tier): repairing a reference-built base must
+// equal repairing a flat-built base, send for send.
 // ---------------------------------------------------------------------------
 
 TEST(GoldenEquality, FaultAwareRepairMatchesOnBothBases) {
@@ -242,11 +242,11 @@ TEST(GoldenEquality, FaultAwareRepairMatchesOnBothBases) {
       const auto ref_base = ref_chain_algorithm(req, rule);
       const auto flat_base = builder.build(req, rule);
       const auto ref_fixed =
-          fault::repair_schedule(ref_base, req.destinations, faults);
+          *fault::repair(ref_base, req.destinations, faults);
       const auto flat_fixed =
-          fault::repair_schedule(flat_base, req.destinations, faults);
+          *fault::repair(flat_base, req.destinations, faults);
       expect_identical(ref_fixed.schedule, flat_fixed.schedule, topo,
-                       ctx + " " + name + "-ft");
+                       ctx + " " + name + " repaired");
       EXPECT_EQ(ref_fixed.report.broken, flat_fixed.report.broken)
           << ctx << " " << name;
       EXPECT_EQ(ref_fixed.report.extra_hops, flat_fixed.report.extra_hops)
@@ -254,11 +254,12 @@ TEST(GoldenEquality, FaultAwareRepairMatchesOnBothBases) {
       if (::testing::Test::HasFailure()) return;
     }
     const auto ref_fixed =
-        fault::repair_schedule(ref_wsort(req), req.destinations, faults);
-    const auto flat_fixed = fault::repair_schedule(builder.build_wsort(req, WeightedSortImpl::Fast),
-                                                   req.destinations, faults);
+        *fault::repair(ref_wsort(req), req.destinations, faults);
+    const auto flat_fixed =
+        *fault::repair(builder.build_wsort(req, WeightedSortImpl::Fast),
+                       req.destinations, faults);
     expect_identical(ref_fixed.schedule, flat_fixed.schedule, topo,
-                     ctx + " wsort-ft");
+                     ctx + " wsort repaired");
     if (::testing::Test::HasFailure()) return;
   }
 }

@@ -1,9 +1,9 @@
 // The schedule-serving cache: canonical keys, the two-level (relative +
-// materialized-translation) LRU, fault-epoch invalidation, and the
+// materialized-translation) LRU, fault-scoped keys, and the
 // bit-identical guarantee — cached serving returns schedules equal
 // (MulticastSchedule::operator==) to direct construction, sequentially,
 // in batches, and under a multi-threaded hammer with concurrent
-// invalidation.
+// clears.
 
 #include <gtest/gtest.h>
 
@@ -14,8 +14,8 @@
 #include "coll/schedule_cache.hpp"
 #include "coll/serve_pipeline.hpp"
 #include "core/cache_key.hpp"
-#include "fault/fault_aware.hpp"
 #include "fault/fault_set.hpp"
+#include "fault/repair.hpp"
 #include "test_util.hpp"
 #include "workload/random_sets.hpp"
 
@@ -162,32 +162,50 @@ TEST(ScheduleCache, EvictsLeastRecentlyUsedUnderByteBudget) {
   EXPECT_EQ(stats.evictions, 5u);
 }
 
-TEST(ScheduleCache, FaultEpochInvalidatesAbsoluteEntries) {
+CacheKey fault_key(const core::MulticastRequest& req,
+                   const fault::FaultSet& faults, std::uint64_t salt) {
+  CacheKey key = key_of(req, 7, /*absolute=*/true);
+  core::scope_to_faults(key, faults.ids(), salt);
+  return key;
+}
+
+TEST(ScheduleCache, FaultScopedKeysCompareFaultContent) {
   ScheduleCache cache;
   const Topology topo(6, Resolution::HighToLow);
   const core::MulticastRequest req{topo, 3, {1, 2, 60}};
   const auto schedule = build_wsort(req);
 
-  const auto absolute = key_of(req, 7, /*absolute=*/true);
-  cache.put(absolute, schedule, fault::fault_epoch());
-  EXPECT_NE(cache.get(absolute), nullptr);
+  // The same faults inserted in two orders (one link named from either
+  // endpoint) are one identity: equal ids, equal fingerprint, a hit.
+  fault::FaultSet a(topo);
+  a.fail_link(0, 1);
+  a.fail_node(9);
+  fault::FaultSet a_reordered(topo);
+  a_reordered.fail_node(9);
+  a_reordered.fail_link(topo.neighbor(0, 1), 1);
+  EXPECT_EQ(a.ids(), a_reordered.ids());
+  EXPECT_EQ(a.fingerprint(kSeed), a_reordered.fingerprint(kSeed));
+  const CacheKey key_a = fault_key(req, a, a.fingerprint(kSeed));
+  cache.put(key_a, schedule);
+  EXPECT_EQ(cache.get(fault_key(req, a_reordered,
+                                a_reordered.fingerprint(kSeed))),
+            schedule);
 
-  fault::bump_fault_epoch();
-  EXPECT_EQ(cache.get(absolute), nullptr);  // lazily dropped
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.invalidations, 1u);
-  EXPECT_EQ(stats.entries, 0u);
+  // A different fault set never shares the entry, even with its salt
+  // forced equal (hence an equal hash): the ids themselves differ.
+  fault::FaultSet b(topo);
+  b.fail_link(4, 0);
+  const CacheKey key_b = fault_key(req, b, a.fingerprint(kSeed));
+  EXPECT_EQ(key_b.hash, key_a.hash);
+  EXPECT_FALSE(key_b == key_a);
+  EXPECT_EQ(cache.get(key_b), nullptr);
+  const auto other = build_wsort({topo, 3, {1, 2}});
+  cache.put(key_b, other);
+  EXPECT_EQ(cache.get(key_a), schedule);
+  EXPECT_EQ(cache.get(key_b), other);
 
-  // Epoch-immune absolute entries (materialized translations) survive.
-  cache.put(absolute, schedule, ScheduleCache::kEpochImmune);
-  fault::bump_fault_epoch();
-  EXPECT_NE(cache.get(absolute), nullptr);
-
-  // Relative entries are never epoch-sensitive.
-  const auto relative = key_of(req, 7, /*absolute=*/false);
-  cache.put(relative, schedule);
-  fault::bump_fault_epoch();
-  EXPECT_NE(cache.get(relative), nullptr);
+  // Nor does the fault-independent entry of the same request.
+  EXPECT_EQ(cache.get(key_of(req, 7, /*absolute=*/true)), nullptr);
 }
 
 // ---- the serving pipeline ------------------------------------------------
@@ -227,37 +245,34 @@ TEST(ServePipeline, PassThroughAlgorithmsNeverTouchTheCache) {
   EXPECT_EQ(cache->stats().lookups(), 0u);
 }
 
-TEST(ServePipeline, FaultAwareServesCachedRepairsUntilEpochBump) {
+// Faults are values: one cached pipeline served under fault set A, then
+// B, then A again returns each set's own repair — no invalidation step,
+// and the second A is a cache hit on the first A's entry.
+TEST(ServePipeline, FaultSetsServeTheirOwnRepairsABA) {
   const Topology topo(6, Resolution::HighToLow);
-  auto faults = std::make_shared<const fault::FaultSet>([&] {
-    fault::FaultSet fs(topo);
-    fs.fail_link(0, 1);
-    return fs;
-  }());
-  fault::register_fault_aware_algorithms(faults);
+  fault::FaultSet a(topo);
+  a.fail_link(0, 1);
+  fault::FaultSet b(topo);
+  b.fail_link(1, 2);
+  b.fail_link(3, 0);
 
   auto cache = std::make_shared<ScheduleCache>();
-  ServePipeline pipeline("wsort-ft", cache);
-  const core::MulticastRequest req{topo, 0, {1, 2, 3, 42}};
-  const auto first = pipeline.serve(req);
-  const auto second = pipeline.serve(req);
-  EXPECT_EQ(first, second);  // pointer-shared cache hit
-  EXPECT_EQ(cache->stats().total_hits(), 1u);
+  const ServePipeline pipeline("wsort", cache);
+  const ServePipeline uncached("wsort", nullptr);
+  const core::MulticastRequest req{topo, 0, {1, 2, 3, 42, 17}};
+  ASSERT_GT(fault::blocked_unicasts(*uncached.serve(req), a), 0u);
+  ASSERT_GT(fault::blocked_unicasts(*uncached.serve(req), b), 0u);
 
-  // A new fault set re-registers and bumps the epoch: the cached repair
-  // is stale and must be rebuilt against the new faults.
-  auto faults2 = std::make_shared<const fault::FaultSet>([&] {
-    fault::FaultSet fs(topo);
-    fs.fail_link(1, 2);
-    return fs;
-  }());
-  fault::register_fault_aware_algorithms(faults2);
-  ServePipeline pipeline2("wsort-ft", cache);
-  const auto repaired = pipeline2.serve(req);
-  EXPECT_GE(cache->stats().invalidations, 1u);
-  const auto direct = fault::fault_aware_multicast(
-      core::find_algorithm("wsort"), req, *faults2);
-  EXPECT_TRUE(*repaired == direct.schedule);
+  const auto under_a = pipeline.serve(req, a);
+  EXPECT_TRUE(*under_a == *uncached.serve(req, a));
+  const auto under_b = pipeline.serve(req, b);
+  EXPECT_TRUE(*under_b == *uncached.serve(req, b));
+  EXPECT_FALSE(*under_a == *under_b);
+
+  const auto hits = cache->stats().total_hits();
+  const auto again = pipeline.serve(req, a);
+  EXPECT_EQ(again, under_a);  // pointer-shared: A's entry survived B
+  EXPECT_EQ(cache->stats().total_hits(), hits + 2);  // base tree + repair
 }
 
 TEST(ServePipeline, BatchMatchesSequentialAtAnyThreadCount) {
@@ -329,7 +344,6 @@ TEST(ScheduleCacheConcurrency, HammerMixedHitMissInvalidateStaysBitIdentical) {
           mismatches.fetch_add(1, std::memory_order_relaxed);
         }
         if (t == 0 && i % 100 == 50) cache->clear();
-        if (t == 1 && i % 100 == 50) fault::bump_fault_epoch();
       }
     });
   }

@@ -1,7 +1,8 @@
 // Adversarial serving-pipeline tests: malformed and oversized
-// destination sets, zero-destination requests, deadline shedding, and
-// fault-epoch bumps racing serve_batch. These run under the sanitize CI
-// job (ASan/UBSan), so "survives" means clean under instrumentation.
+// destination sets, zero-destination requests, deadline shedding,
+// faulted serves and cache clears racing serve_batch, and pipelines
+// sharing one cache. These run under the sanitize CI job (ASan/UBSan),
+// so "survives" means clean under instrumentation.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +13,8 @@
 
 #include "coll/schedule_cache.hpp"
 #include "coll/serve_pipeline.hpp"
-#include "fault/fault_aware.hpp"
+#include "fault/fault_inject.hpp"
+#include "fault/repair.hpp"
 #include "obs/obs.hpp"
 #include "workload/random_sets.hpp"
 
@@ -114,7 +116,7 @@ TEST(ServeAdversarial, BatchWithExpiredDeadlineShedsEverything) {
   }
 }
 
-TEST(ServeAdversarial, ConcurrentFaultEpochBumpsDuringServeBatch) {
+TEST(ServeAdversarial, ConcurrentFaultedServesAndClearsDuringServeBatch) {
   obs::FlagsGuard flags;
   auto cache = std::make_shared<ScheduleCache>(ScheduleCache::Config{});
   const ServePipeline cached("wsort", cache);
@@ -130,25 +132,32 @@ TEST(ServeAdversarial, ConcurrentFaultEpochBumpsDuringServeBatch) {
         topo, source,
         workload::random_destinations(topo, source, 1 + (i % 30), rng)});
   }
+  // Two fault sets served side by side: each is a value handed to the
+  // call, so neither ever disturbs the other's entries.
+  const fault::FaultSet faults[2] = {fault::connected_link_faults(topo, 3, rng),
+                                     fault::connected_link_faults(topo, 5, rng)};
   std::vector<std::shared_ptr<const core::MulticastSchedule>> expected;
-  expected.reserve(requests.size());
+  std::vector<std::shared_ptr<const core::MulticastSchedule>> expected_faulted[2];
   for (const MulticastRequest& r : requests) {
     expected.push_back(direct.serve(r));
+    for (int f = 0; f < 2; ++f) {
+      expected_faulted[f].push_back(direct.serve(r, faults[f]));
+    }
   }
 
-  // Hammer serve_batch while another thread keeps bumping the fault
-  // epoch (invalidating cached entries mid-flight). Results must stay
+  // Hammer serve_batch and faulted serves while another thread keeps
+  // clearing the cache (dropping entries mid-flight). Results must stay
   // bit-identical to direct construction throughout.
   std::atomic<bool> stop{false};
-  std::thread bumper([&] {
+  std::thread clearer([&] {
     while (!stop.load()) {
-      fault::bump_fault_epoch();
+      cache->clear();
       std::this_thread::yield();
     }
   });
   std::atomic<int> mismatches{0};
   std::vector<std::thread> hammers;
-  for (int t = 0; t < 3; ++t) {
+  for (int t = 0; t < 2; ++t) {
     hammers.emplace_back([&] {
       for (int round = 0; round < 30; ++round) {
         const auto results = cached.serve_batch(requests, 1 + (round % 3));
@@ -160,60 +169,51 @@ TEST(ServeAdversarial, ConcurrentFaultEpochBumpsDuringServeBatch) {
       }
     });
   }
+  for (int t = 0; t < 2; ++t) {
+    hammers.emplace_back([&, t] {
+      for (int round = 0; round < 10; ++round) {
+        const int f = (round + t) % 2;
+        for (std::size_t i = 0; i < requests.size(); ++i) {
+          const auto served = cached.serve(requests[i], faults[f]);
+          if (!(*served == *expected_faulted[f][i])) ++mismatches;
+        }
+      }
+    });
+  }
   for (std::thread& t : hammers) t.join();
   stop.store(true);
-  bumper.join();
+  clearer.join();
   EXPECT_EQ(mismatches.load(), 0);
 }
 
-TEST(ServeAdversarial, PipelineTracksFaultSetReRegistration) {
-  // Regression: a ServePipeline used to resolve its registry entry once
-  // at construction. register_fault_aware_algorithms *replaces* the
-  // "-ft" entries in place, so a long-lived pipeline kept building
-  // through the retired registration — schedules repaired against the
-  // OLD fault set — and, worse, stamped them with the CURRENT epoch, so
-  // the cache served the stale trees as fresh forever after.
+TEST(ServeAdversarial, PipelinesSharingACacheKeepTheirOwnRepairs) {
+  // Regression: the faulted serve_striped's single-tree fallback cached
+  // its repair under one constant algorithm id plus the fault
+  // fingerprint, not under the pipeline's algorithm — so a wsort
+  // pipeline sharing a cache with a ucube one was handed the ucube
+  // repair. Each pipeline must get exactly its uncached result.
   const hcube::Topology topo(6);
-  const core::MulticastRequest req{topo, 0, {1, 2, 3, 42, 17}};
-
-  auto faults_a = std::make_shared<const fault::FaultSet>([&] {
-    fault::FaultSet fs(topo);
-    fs.fail_link(0, 1);
-    return fs;
-  }());
-  fault::register_fault_aware_algorithms(faults_a);
-
+  const MulticastRequest req{topo, 0, {1, 3, 7, 15, 31, 63, 42, 21}};
+  fault::FaultSet faults(topo);
+  faults.fail_link(0, 0);
   auto cache = std::make_shared<ScheduleCache>(ScheduleCache::Config{});
-  const ServePipeline cached("wsort-ft", cache);
-  const ServePipeline uncached("wsort-ft", nullptr);
-  const auto under_a = cached.serve(req);
-  ASSERT_NE(under_a, nullptr);
-  EXPECT_TRUE(*uncached.serve(req) == *under_a);
-
-  // Swap the fault set under the SAME pipelines.
-  auto faults_b = std::make_shared<const fault::FaultSet>([&] {
-    fault::FaultSet fs(topo);
-    fs.fail_link(1, 2);
-    fs.fail_link(3, 0);
-    return fs;
-  }());
-  fault::register_fault_aware_algorithms(faults_b);
-
-  const auto expected =
-      fault::fault_aware_multicast(core::find_algorithm("wsort"), req,
-                                   *faults_b)
-          .schedule;
-  // Both the cached and the pass-through pipeline must now build
-  // against fault set B — first serve (fills the cache) and second
-  // serve (may hit it) alike.
-  EXPECT_TRUE(*uncached.serve(req) == expected);
-  EXPECT_TRUE(*cached.serve(req) == expected);
-  EXPECT_TRUE(*cached.serve(req) == expected);
-
-  // Leave a clean registry for other tests: an empty fault set behaves
-  // like the fault-oblivious algorithms.
-  fault::register_fault_aware_algorithms(
-      std::make_shared<const fault::FaultSet>(topo));
+  std::vector<std::shared_ptr<const core::MulticastSchedule>> repairs;
+  for (const char* algo : {"ucube", "wsort"}) {
+    const ServePipeline shared(algo, cache);
+    const ServePipeline alone(algo, nullptr);
+    const coll::StripedPlan plan = shared.serve_striped(req, 100, {}, faults);
+    const coll::StripedPlan reference =
+        alone.serve_striped(req, 100, {}, faults);
+    ASSERT_FALSE(plan.striped);
+    EXPECT_EQ(plan.repaired_trees, 1u) << algo;
+    EXPECT_TRUE(*plan.trees.front() == *reference.trees.front()) << algo;
+    // A repeat is served from this pipeline's own entry.
+    EXPECT_EQ(shared.serve_striped(req, 100, {}, faults).trees.front(),
+              plan.trees.front())
+        << algo;
+    repairs.push_back(plan.trees.front());
+  }
+  EXPECT_FALSE(*repairs[0] == *repairs[1]);  // the two repairs differ
 }
 
 }  // namespace

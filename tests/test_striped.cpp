@@ -1,7 +1,7 @@
 // The striping layer (coll/striped.hpp): payload split/reassembly with
 // XOR parity, plan correctness over the IST trees, equivalence of the
 // striped delivery set with single-tree delivery under the DES, the
-// bandwidth win it exists for, cache integration, and the fault-epoch
+// bandwidth win it exists for, cache integration, and the degraded-mode
 // swap semantics (drop onto parity vs detour repair).
 
 #include "coll/striped.hpp"
@@ -15,7 +15,7 @@
 
 #include "coll/serve_pipeline.hpp"
 #include "core/ist.hpp"
-#include "fault/fault_aware.hpp"
+#include "fault/repair.hpp"
 #include "workload/concurrent.hpp"
 #include "workload/random_sets.hpp"
 
@@ -505,50 +505,49 @@ TEST(StripedFaults, SixCubeRandomDoubleFaultsDeliverEverything) {
   }
 }
 
-// Regression (satellite): degraded-mode cached repairs must be
-// invalidated by bump_fault_epoch. Before the fix, repaired trees were
-// cached without an epoch stamp, so a plan computed after the fault set
-// was rearmed could replay a stale repair.
-TEST(StripedFaults, DegradedPlansInvalidateOnFaultEpochBump) {
+// Degraded-mode cached repairs are keyed by the exact content of their
+// fault set: the same faults inserted in another order replay the
+// cached repairs (no new misses), and a different fault set gets
+// repairs of its own, never the cached ones.
+TEST(StripedFaults, DegradedPlansAreKeyedByFaultContent) {
   const Topology topo(4);
   const NodeId source = 0;
   MulticastRequest request{topo, source, broadcast_dests(topo, source)};
   auto cache = std::make_shared<ScheduleCache>();
-  const StripedPlanner planner({}, cache);
+  StripeOptions options;
+  options.parity = true;
+  const StripedPlanner planner(options, cache);
 
   fault::FaultSet faults(topo);
   faults.fail_link(0b0101, 1);
-
+  faults.fail_link(0b1010, 0);
   const StripedPlan first = planner.plan(request, 1 << 20, faults);
   ASSERT_GE(first.repaired_disjoint, 1u);
+  ASSERT_EQ(first.repaired_greedy, 0u);  // every repair is cacheable
   const auto warm_misses = cache->stats().misses;
 
-  // Same epoch, same faults: the repaired trees come from the cache
-  // (no new misses at the repair level beyond the probe pattern).
-  const StripedPlan replay = planner.plan(request, 1 << 20, faults);
+  fault::FaultSet reordered(topo);
+  reordered.fail_link(0b1011, 0);  // the same two links, named from
+  reordered.fail_link(0b0111, 1);  // their other endpoints, reversed
+  const StripedPlan replay = planner.plan(request, 1 << 20, reordered);
+  EXPECT_EQ(cache->stats().misses, warm_misses);
   ASSERT_EQ(replay.repaired_trees, first.repaired_trees);
   for (std::size_t t = 0; t < first.trees.size(); ++t) {
-    EXPECT_TRUE(*first.trees[t] == *replay.trees[t]) << "tree " << t;
+    EXPECT_EQ(first.trees[t], replay.trees[t]) << "tree " << t;
   }
 
-  // Epoch bump: every cached repair is stale; the planner rebuilds
-  // (misses grow) yet produces the same bits for the same fault set.
-  fault::bump_fault_epoch();
-  const StripedPlan rebuilt = planner.plan(request, 1 << 20, faults);
-  EXPECT_GT(cache->stats().misses, warm_misses);
-  ASSERT_EQ(rebuilt.repaired_trees, first.repaired_trees);
-  for (std::size_t t = 0; t < first.trees.size(); ++t) {
-    EXPECT_TRUE(*first.trees[t] == *rebuilt.trees[t]) << "tree " << t;
-  }
-
-  // Distinct fault sets within one epoch must not alias: the salt
-  // partitions the key space by fault fingerprint.
+  // A different fault set misses and repairs on its own: the result is
+  // what an uncached planner computes for it.
   fault::FaultSet other(topo);
   other.fail_link(0b0011, 2);
   const StripedPlan different = planner.plan(request, 1 << 20, other);
+  EXPECT_GT(cache->stats().misses, warm_misses);
+  const StripedPlan uncached =
+      StripedPlanner(options).plan(request, 1 << 20, other);
   bool any_differ = false;
-  for (std::size_t t = 0; t < rebuilt.trees.size(); ++t) {
-    if (!(*rebuilt.trees[t] == *different.trees[t])) any_differ = true;
+  for (std::size_t t = 0; t < first.trees.size(); ++t) {
+    EXPECT_TRUE(*different.trees[t] == *uncached.trees[t]) << "tree " << t;
+    if (!(*first.trees[t] == *different.trees[t])) any_differ = true;
   }
   EXPECT_TRUE(any_differ);
 }

@@ -18,9 +18,11 @@
 // serve, both merged for stats).
 // Fault injection (all commands): --faults <count|rate> [--fault-seed s],
 // --fail-links u:d,..., --fail-nodes a,b. With faults present, trees are
-// built by the requested algorithm and then repaired fault-aware; the
-// simulator itself refuses to route a worm into a failed channel, so a
-// clean `delay` run doubles as proof the repair worked.
+// built by the requested algorithm and then repaired fault-aware (serve
+// goes through ServePipeline::serve(request, faults), which repairs only
+// the trees a fault blocks); the simulator itself refuses to route a
+// worm into a failed channel, so a clean `delay` run doubles as proof
+// the repair worked.
 
 #include <chrono>
 #include <cstdio>
@@ -35,7 +37,7 @@
 #include "core/chain_search.hpp"
 #include "core/contention.hpp"
 #include "core/registry.hpp"
-#include "fault/fault_aware.hpp"
+#include "fault/repair.hpp"
 #include "harness/options.hpp"
 #include "metrics/json.hpp"
 #include "obs/registry.hpp"
@@ -104,15 +106,12 @@ core::MulticastRequest request_from(const harness::Options& opts) {
   return req;
 }
 
-/// Parse the fault flags; when present, also register the fault-aware
-/// "-ft" variants of the paper algorithms so --algo wsort-ft etc. work.
+/// Parse the fault flags; nullptr when none are given.
 std::shared_ptr<const fault::FaultSet> setup_faults(
     const harness::Options& opts, const hcube::Topology& topo) {
   auto fs = opts.fault_set(topo);
   if (!fs) return nullptr;
-  auto shared = std::make_shared<const fault::FaultSet>(std::move(*fs));
-  fault::register_fault_aware_algorithms(shared);
-  return shared;
+  return std::make_shared<const fault::FaultSet>(std::move(*fs));
 }
 
 /// Build the schedule for `algo`, repairing it against the fault set
@@ -272,8 +271,7 @@ int cmd_faults(const harness::Options& opts) {
     core::MulticastRequest req{topo, source, std::move(dests)};
     req.validate();
     const auto& algo = core::find_algorithm(opts.get_or("algo", "wsort"));
-    auto repaired =
-        fault::repair_schedule(algo.build(req), req.destinations, *faults);
+    auto repaired = fault::fault_aware_multicast(algo, req, *faults);
     std::printf("  %s\n", repaired.report.summary().c_str());
     sim::SimConfig config;
     config.port = opts.port();
@@ -334,7 +332,12 @@ int cmd_serve(const harness::Options& opts) {
       opts.get_int_or("m", static_cast<long>(topo.num_nodes() / 2)));
   const int threads = static_cast<int>(opts.get_int_or("threads", 1));
   const auto cache_opts = opts.cache(/*default_enabled=*/true);
-  const auto faults = setup_faults(opts, topo);  // enables --algo <name>-ft
+  const auto faults = setup_faults(opts, topo);
+  if (faults && threads > 1) {
+    throw std::invalid_argument(
+        "--threads > 1 serves unfaulted batches only; faulted requests are "
+        "served one at a time");
+  }
 
   workload::Rng rng(static_cast<std::uint64_t>(opts.get_int_or("seed", 1)));
   const auto stream = translated_stream(topo, shapes, m, requests, rng);
@@ -350,7 +353,15 @@ int cmd_serve(const harness::Options& opts) {
   coll::ServePipeline pipeline(algo, cache);
 
   const auto start = std::chrono::steady_clock::now();
-  const auto schedules = pipeline.serve_batch(stream, threads);
+  std::vector<std::shared_ptr<const core::MulticastSchedule>> schedules;
+  if (faults) {
+    schedules.reserve(stream.size());
+    for (const core::MulticastRequest& req : stream) {
+      schedules.push_back(pipeline.serve(req, *faults));
+    }
+  } else {
+    schedules = pipeline.serve_batch(stream, threads);
+  }
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
@@ -365,6 +376,7 @@ int cmd_serve(const harness::Options& opts) {
       threads, cache ? "on" : "off", seconds,
       seconds > 0.0 ? static_cast<double>(stream.size()) / seconds : 0.0,
       unicasts);
+  if (faults) std::printf("  faults: %s\n", faults->format().c_str());
   if (cache) {
     // Field names are Stats::for_each_field — identical to the "cache"
     // gauge source in the --stats JSON exposition by construction.
@@ -569,7 +581,7 @@ int usage() {
       "  faults: [--faults count|rate] [--fault-seed s]\n"
       "          [--fail-links u:d,...] [--fail-nodes a,b]\n"
       "  serve:  --n <dim> [--requests r] [--shapes k] [--m dests]\n"
-      "          [--threads t] parallel shard workers\n"
+      "          [--threads t] parallel shard workers (unfaulted only)\n"
       "          [--cache on|off] [--cache-shards n] [--cache-bytes b]\n"
       "  stripe: --n <dim> [--bytes b] [--parity[=k]] [--stripe-threshold b]\n"
       "          [--cache on|off] — payload striped over the n\n"
