@@ -16,8 +16,8 @@
 //       floor, ~0% hit rate, measures the all-miss overhead.
 //
 // Reports per-pattern cached and uncached serve rates, the end-to-end
-// speedup, and the steady-state hit rate. Measures both modes regardless
-// of --cache (the flag only picks which artifact the run gates against).
+// speedup, and the steady-state hit rate. Measures both modes in the
+// same run.
 
 #include <cstdio>
 #include <memory>
@@ -145,15 +145,11 @@ void run(const bench::Context& ctx, bench::Report& report) {
   const std::size_t requests = ctx.quick ? 256 : 1024;
   const char* algorithm = "wsort";
 
-  coll::ScheduleCache::Config config;
-  if (ctx.cache_shards != 0) config.shards = ctx.cache_shards;
-  if (ctx.cache_bytes != 0) config.max_bytes = ctx.cache_bytes;
-
   std::puts("  pattern                  uncached/s    cached/s  speedup  "
             "hit rate");
   for (auto& pattern : make_patterns(topo, requests, m, ctx.seed)) {
     const coll::ServePipeline uncached(algorithm, nullptr);
-    const auto cache = std::make_shared<coll::ScheduleCache>(config);
+    const auto cache = std::make_shared<coll::ScheduleCache>();
     const coll::ServePipeline cached(algorithm, cache);
 
     if (!pattern.unique) {  // reach steady state before timing

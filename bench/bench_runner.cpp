@@ -13,14 +13,11 @@
 //   bench_runner --quick                  shrunken sweeps (CI smoke)
 //   bench_runner --out <dir>              artifact directory
 //   bench_runner --seed <n>               experiment seed for the sweeps
-//   bench_runner --cache on|off           schedule-cache mode for
-//                                         cache-sensitive benchmarks;
-//                                         "on" suffixes artifacts _cached
-//   bench_runner --cache-shards <n>       lock stripes (0 = auto)
-//   bench_runner --cache-bytes <b>        cache byte budget (0 = default)
 //   bench_runner --stats                  collect obs counters/histograms
 //                                         and embed a "stats" block per
 //                                         artifact
+//
+// Any other flag is an error (exit 1).
 
 #include <cstdio>
 #include <exception>
@@ -32,6 +29,7 @@ int main(int argc, char** argv) {
   using namespace hypercast;
   try {
     const auto options = harness::Options::parse(argc, argv);
+    const bench::RunOptions run = bench::parse_run_options(options);
     if (options.has("list")) {
       for (const bench::Benchmark* b : bench::all_benchmarks()) {
         std::printf("%-28s %-9s %s\n", b->name.c_str(),
@@ -39,20 +37,6 @@ int main(int argc, char** argv) {
       }
       return 0;
     }
-    bench::RunOptions run;
-    run.filter = options.get_or("filter", "");
-    run.repeat = static_cast<int>(options.get_int_or("repeat", 1));
-    run.threads = static_cast<int>(options.get_int_or("threads", 1));
-    run.quick = options.has("quick");
-    run.seed = static_cast<std::uint64_t>(
-        options.get_int_or("seed", 0x5C93C0DE));
-    run.out_dir = options.get_or("out", "results");
-    const auto cache = options.cache(/*default_enabled=*/false);
-    run.cache = cache.enabled;
-    run.cache_shards = cache.shards;
-    run.cache_bytes = cache.max_bytes;
-    run.stats = options.has("stats");
-
     const auto records = bench::run_benchmarks(run);
     if (records.empty()) {
       std::fprintf(stderr, "no benchmark matches --filter '%s' (try --list)\n",

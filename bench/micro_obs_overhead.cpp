@@ -132,10 +132,7 @@ void run(const bench::Context& ctx, bench::Report& report) {
   workload::Rng rng(workload::derive_seed(2027, m, 0));
   const auto stream = translated_stream(topo, shapes, m, requests, rng);
 
-  coll::ScheduleCache::Config config;
-  if (ctx.cache_shards != 0) config.shards = ctx.cache_shards;
-  if (ctx.cache_bytes != 0) config.max_bytes = ctx.cache_bytes;
-  const auto cache = std::make_shared<coll::ScheduleCache>(config);
+  const auto cache = std::make_shared<coll::ScheduleCache>();
   const coll::ServePipeline cached("wsort", cache);
 
   obs::set_stats_enabled(false);

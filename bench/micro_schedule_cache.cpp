@@ -4,8 +4,7 @@
 // shapes, each XOR-translated to a pseudorandom source — so in steady
 // state nearly every serve is a cache hit that costs one key
 // canonicalization instead of a tree construction. Measures both modes
-// regardless of --cache (the flag only picks which artifact the run
-// gates against) and verifies cached output is bit-identical to direct
+// in the same run and verifies cached output is bit-identical to direct
 // construction before timing anything.
 
 #include <cstdio>
@@ -22,13 +21,6 @@
 namespace {
 
 using namespace hypercast;
-
-coll::ScheduleCache::Config cache_config(const bench::Context& ctx) {
-  coll::ScheduleCache::Config config;
-  if (ctx.cache_shards != 0) config.shards = ctx.cache_shards;
-  if (ctx.cache_bytes != 0) config.max_bytes = ctx.cache_bytes;
-  return config;
-}
 
 /// Best of several timing passes: serve rates feed the regression gate
 /// and transient machine load can halve any single sample, so take the
@@ -96,8 +88,7 @@ void run(const bench::Context& ctx, bench::Report& report) {
     const auto stream = translated_stream(topo, shapes, m, requests, rng);
 
     const coll::ServePipeline uncached(name, nullptr);
-    const auto cache =
-        std::make_shared<coll::ScheduleCache>(cache_config(ctx));
+    const auto cache = std::make_shared<coll::ScheduleCache>();
     const coll::ServePipeline cached(name, cache);
 
     // Correctness gate: cached output must be bit-identical to direct
@@ -150,8 +141,7 @@ void run(const bench::Context& ctx, bench::Report& report) {
   {
     workload::Rng rng(workload::derive_seed(2027, m, 1));
     const auto stream = translated_stream(topo, shapes, m, requests, rng);
-    const auto cache =
-        std::make_shared<coll::ScheduleCache>(cache_config(ctx));
+    const auto cache = std::make_shared<coll::ScheduleCache>();
     const coll::ServePipeline cached("wsort", cache);
     (void)cached.serve_batch(stream, ctx.threads);  // warm
     const bench::Rate batch = best_rate(ctx.min_time(0.3), [&] {

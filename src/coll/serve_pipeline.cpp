@@ -221,8 +221,7 @@ std::shared_ptr<core::MulticastSchedule> ServePipeline::build_relative(
   auto out = std::make_shared<core::MulticastSchedule>(topo, 0);
   core::NextRule rule = rule_;
   if (kind_ == Kind::Wsort) {
-    core::weighted_sort(topo, tls.chain, core::WeightedSortImpl::Fast,
-                        tls.wsort_scratch);
+    core::weighted_sort(topo, tls.chain, tls.wsort_scratch);
     rule = core::NextRule::HighDim;
   }
   tls.builder.build_chain_into(topo, tls.chain, rule, *out);
@@ -256,8 +255,7 @@ std::shared_ptr<const core::MulticastSchedule> ServePipeline::build_direct(
     case Kind::Wsort: {
       auto out = std::make_shared<core::MulticastSchedule>(request.topo,
                                                            request.source);
-      tls.builder.build_wsort_into(request, core::WeightedSortImpl::Fast,
-                                   *out);
+      tls.builder.build_wsort_into(request, *out);
       out->finalize();
       record_build(t_build);
       return out;

@@ -110,13 +110,6 @@ std::vector<std::vector<std::uint8_t>> split_stripes(
   return stripes;
 }
 
-std::vector<std::vector<std::uint8_t>> split_stripes(
-    std::span<const std::uint8_t> payload, std::size_t data_stripes,
-    bool parity) {
-  return split_stripes(payload, data_stripes,
-                       static_cast<std::size_t>(parity ? 1 : 0));
-}
-
 std::vector<std::uint8_t> reassemble_stripes(
     std::span<const std::vector<std::uint8_t>> stripes,
     std::size_t data_stripes, std::size_t payload_bytes,
@@ -130,8 +123,12 @@ std::vector<std::uint8_t> reassemble_stripes(
   // working copy is only materialized when something is missing.
   std::vector<std::vector<std::uint8_t>> recovered;
   bool any_data_missing = false;
-  for (const std::size_t i : missing) {
-    if (i < data_stripes) any_data_missing = true;
+  for (auto it = missing.begin(); it != missing.end(); ++it) {
+    if (*it >= stripes.size() || std::find(missing.begin(), it, *it) != it) {
+      throw std::invalid_argument(
+          "reassemble_stripes: missing index out of range or repeated");
+    }
+    if (*it < data_stripes) any_data_missing = true;
   }
   if (any_data_missing) {
     const std::size_t parity_stripes = stripes.size() - data_stripes;
@@ -161,35 +158,13 @@ std::vector<std::uint8_t> reassemble_stripes(
   return out;
 }
 
-std::vector<std::uint8_t> reassemble_stripes(
-    std::span<const std::vector<std::uint8_t>> stripes,
-    std::size_t data_stripes, std::size_t payload_bytes, int missing) {
-  if (missing < 0) {
-    return reassemble_stripes(stripes, data_stripes, payload_bytes,
-                              std::span<const std::size_t>{});
-  }
-  if (static_cast<std::size_t>(missing) >= data_stripes) {
-    throw std::invalid_argument(
-        "reassemble_stripes: missing index out of range");
-  }
-  if (stripes.size() < data_stripes + 1) {
-    throw std::invalid_argument(
-        "reassemble_stripes: parity stripe required to reconstruct");
-  }
-  const std::size_t gone[1] = {static_cast<std::size_t>(missing)};
-  return reassemble_stripes(stripes, data_stripes, payload_bytes,
-                            std::span<const std::size_t>(gone));
-}
-
 StripedPlanner::StripedPlanner(StripeOptions options,
                                std::shared_ptr<ScheduleCache> cache)
     : options_(options), cache_(std::move(cache)) {}
 
 std::size_t StripedPlanner::effective_parity(hcube::Dim dim) const {
   if (dim < 2) return 0;
-  std::size_t k = options_.parity_stripes;
-  if (options_.parity && k == 0) k = 1;
-  return std::min(k, static_cast<std::size_t>(dim) - 1);
+  return std::min(options_.parity_stripes, static_cast<std::size_t>(dim) - 1);
 }
 
 bool StripedPlanner::should_verify(hcube::Dim dim) const {
@@ -321,7 +296,6 @@ StripedPlan StripedPlanner::plan(const core::MulticastRequest& request,
     out.dropped_trees.push_back(t);
   }
   std::sort(out.dropped_trees.begin(), out.dropped_trees.end());
-  out.dropped_tree = out.dropped_trees.empty() ? -1 : out.dropped_trees.front();
   bump("striped.dropped_trees", out.dropped_trees.size());
   bump("striped.repair_rs", out.dropped_trees.size());
 

@@ -13,42 +13,29 @@ namespace hypercast::core {
 /// source pinned at position 0. Theorem 5 guarantees the result is a
 /// cube-ordered permutation of the input.
 ///
-/// Two implementations with identical output:
-///  * faithful — the paper's centralized recursion, with the swap done
-///    by rotating subcube halves in place after recursing (the paper
-///    quotes O(m^2) for the centralized form);
-///  * fast — a top-down rewrite that decides each swap from half sizes
-///    (binary searches on the sorted input) and emits straight into an
-///    output buffer, O(m log N). It stands in for the distributed
-///    O(m log m) version the paper defers to the technical report.
+/// Figure 7 recurses into both halves of a subcube and then rotates
+/// them when the later half is strictly more populated. This is the
+/// top-down equivalent: it decides each swap from the half sizes
+/// (binary searches on the sorted input) and emits straight into an
+/// output buffer, O(m log N). It stands in for the distributed
+/// O(m log m) version the paper defers to the technical report. The
+/// paper-literal recursion lives in tests/ as the oracle it must match.
 
 /// Reusable buffers for the sort: the relative-key image of the chain
-/// and the fast version's output permutation. Both are resized to the
-/// exact chain length per call, so a scratch recycled across a sweep
-/// allocates only on its high-water chain. Plain value type; keep one
-/// per thread (TreeBuilder embeds one).
+/// and the output permutation. Both are resized to the exact chain
+/// length per call, so a scratch recycled across a sweep allocates only
+/// on its high-water chain. Plain value type; keep one per thread
+/// (TreeBuilder embeds one).
 struct WeightedSortScratch {
   std::vector<std::uint32_t> rel;
   std::vector<std::uint32_t> out;
 };
 
-/// In-place faithful version. `chain` must be the d0-relative
+/// In-place weighted sort. `chain` must be the d0-relative
 /// dimension-ordered chain produced by hcube::make_relative_chain.
-void weighted_sort_faithful(const Topology& topo, std::vector<NodeId>& chain);
-void weighted_sort_faithful(const Topology& topo, std::vector<NodeId>& chain,
-                            WeightedSortScratch& scratch);
-
-/// Fast version, same contract and identical output.
-void weighted_sort_fast(const Topology& topo, std::vector<NodeId>& chain);
-void weighted_sort_fast(const Topology& topo, std::vector<NodeId>& chain,
-                        WeightedSortScratch& scratch);
-
-enum class WeightedSortImpl { Faithful, Fast };
-
+void weighted_sort(const Topology& topo, std::vector<NodeId>& chain);
 void weighted_sort(const Topology& topo, std::vector<NodeId>& chain,
-                   WeightedSortImpl impl);
-void weighted_sort(const Topology& topo, std::vector<NodeId>& chain,
-                   WeightedSortImpl impl, WeightedSortScratch& scratch);
+                   WeightedSortScratch& scratch);
 
 }  // namespace hypercast::core
 

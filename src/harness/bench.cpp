@@ -6,9 +6,11 @@
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 
 #include "harness/experiment.hpp"
+#include "harness/options.hpp"
 #include "metrics/json.hpp"
 #include "obs/registry.hpp"
 
@@ -170,8 +172,29 @@ bool matches(const Benchmark& benchmark, const std::string& filter) {
   return filter == kind_name(benchmark.kind);
 }
 
-std::string artifact_name(const Benchmark& benchmark, const RunOptions& opts) {
-  return opts.cache ? benchmark.name + "_cached" : benchmark.name;
+RunOptions parse_run_options(const harness::Options& options) {
+  static constexpr std::string_view kKnown[] = {
+      "list", "filter", "repeat", "threads", "quick", "seed", "out", "stats"};
+  for (const std::string& key : options.keys()) {
+    if (std::find(std::begin(kKnown), std::end(kKnown), key) !=
+        std::end(kKnown)) {
+      continue;
+    }
+    std::string known;
+    for (const std::string_view k : kKnown) known += " --" + std::string(k);
+    throw std::invalid_argument("unknown flag --" + key + " (known:" + known +
+                                ")");
+  }
+  RunOptions run;
+  run.filter = options.get_or("filter", "");
+  run.repeat = static_cast<int>(options.get_int_or("repeat", 1));
+  run.threads = static_cast<int>(options.get_int_or("threads", 1));
+  run.quick = options.has("quick");
+  run.seed =
+      static_cast<std::uint64_t>(options.get_int_or("seed", 0x5C93C0DE));
+  run.out_dir = options.get_or("out", "results");
+  run.stats = options.has("stats");
+  return run;
 }
 
 std::string benchmark_json(const Benchmark& benchmark, const RunOptions& opts,
@@ -181,7 +204,7 @@ std::string benchmark_json(const Benchmark& benchmark, const RunOptions& opts,
   metrics::JsonWriter w;
   w.begin_object();
   w.key("schema").value("hypercast-bench-v1");
-  w.key("name").value(artifact_name(benchmark, opts));
+  w.key("name").value(benchmark.name);
   w.key("kind").value(kind_name(benchmark.kind));
   w.key("description").value(benchmark.description);
   w.key("config").begin_object();
@@ -189,7 +212,6 @@ std::string benchmark_json(const Benchmark& benchmark, const RunOptions& opts,
   w.key("threads").value(static_cast<std::int64_t>(opts.threads));
   w.key("repeat").value(static_cast<std::int64_t>(opts.repeat));
   w.key("seed").value(static_cast<std::uint64_t>(opts.seed));
-  w.key("cache").value(opts.cache);
   w.end_object();
   w.key("wall_seconds").begin_array();
   for (const double s : wall_seconds) w.value(s);
@@ -224,9 +246,6 @@ std::vector<RunRecord> run_benchmarks(const RunOptions& opts) {
   ctx.quick = opts.quick;
   ctx.threads = opts.threads;
   ctx.seed = opts.seed;
-  ctx.cache = opts.cache;
-  ctx.cache_shards = opts.cache_shards;
-  ctx.cache_bytes = opts.cache_bytes;
 
   if (!opts.out_dir.empty()) {
     std::filesystem::create_directories(opts.out_dir);
@@ -249,7 +268,7 @@ std::vector<RunRecord> run_benchmarks(const RunOptions& opts) {
       std::fflush(stdout);
     }
     RunRecord record;
-    record.name = artifact_name(*b, opts);
+    record.name = b->name;
     Report report;
     // Each artifact's stats block covers exactly its own benchmark.
     if (opts.stats) obs::default_registry().reset();

@@ -11,6 +11,7 @@
 
 namespace hypercast::harness {
 struct DelaySweepResult;
+class Options;
 }
 
 namespace hypercast::obs {
@@ -34,13 +35,6 @@ struct Context {
   bool quick = false;  ///< shrink sweeps / timing budgets (CI smoke)
   int threads = 1;     ///< worker threads for parallel sweeps
   std::uint64_t seed = 0x5C93C0DE;  ///< experiment seed (sweep instances)
-
-  /// Schedule-cache mode for cache-sensitive benchmarks (--cache flags).
-  /// Benchmarks that exist to compare cached vs uncached measure both
-  /// regardless; collective-level benchmarks honour `cache` directly.
-  bool cache = false;
-  std::size_t cache_shards = 0;     ///< 0 = auto
-  std::size_t cache_bytes = 0;      ///< 0 = library default
 
   /// Timing budget for rate measurements: the full budget, or a small
   /// fixed one under --quick.
@@ -104,14 +98,6 @@ struct RunOptions {
   std::string out_dir = ".";  ///< BENCH_<name>.json directory; "" disables
   bool verbose = true;        ///< per-benchmark progress on stdout
 
-  /// Schedule-cache mode. When `cache` is on, artifacts are emitted as
-  /// BENCH_<name>_cached.json (with "name": "<name>_cached") so the
-  /// cached configuration gates against its own committed baseline
-  /// instead of being diffed against uncached numbers.
-  bool cache = false;
-  std::size_t cache_shards = 0;
-  std::size_t cache_bytes = 0;
-
   /// Enable obs stats collection for the run and embed each benchmark's
   /// registry exposition (reset before every benchmark) as a "stats"
   /// object in its artifact.
@@ -131,10 +117,11 @@ struct RunRecord {
 /// metrics/series come from the final repetition, wall_seconds from all.
 std::vector<RunRecord> run_benchmarks(const RunOptions& opts);
 
-/// The artifact name for this run: the benchmark name, plus a "_cached"
-/// suffix when opts.cache is on (cached runs gate against their own
-/// baselines).
-std::string artifact_name(const Benchmark& benchmark, const RunOptions& opts);
+/// bench_runner's command line: --filter, --repeat, --threads, --quick,
+/// --seed, --out and --stats (--list is accepted and left to the
+/// caller). Throws std::invalid_argument naming any other flag, so a
+/// typo or a retired flag fails instead of running with defaults.
+RunOptions parse_run_options(const harness::Options& options);
 
 /// The JSON document for one benchmark result — exposed so tests can
 /// validate the schema without spawning the runner binary. When `stats`

@@ -76,7 +76,7 @@ class Options {
   /// The three compose. Returns nullopt when none is present.
   std::optional<fault::FaultSet> fault_set(const hcube::Topology& topo) const;
 
-  /// Schedule-cache flags shared by the CLI and the bench runner:
+  /// Schedule-cache flags shared by the CLI and the serving daemon:
   ///   --cache on|off       serving-cache mode (also bare --cache = on)
   ///   --cache-shards n     lock stripes (0 = auto)
   ///   --cache-bytes b      total byte budget across shards
@@ -93,7 +93,8 @@ class Options {
   /// values other than on/off/true/false/1/0.
   CacheOptions cache(bool default_enabled = false) const;
 
-  /// Keys the caller never consumed (typo detection).
+  /// Every key given, in no particular order; a tool checks them against
+  /// its known set to reject typos (bench::parse_run_options does).
   std::vector<std::string> keys() const;
 
  private:

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "harness/experiment.hpp"
+#include "harness/options.hpp"
 #include "metrics/json.hpp"
 
 namespace hypercast::bench {
@@ -278,6 +279,43 @@ TEST(BenchRunner, RejectsZeroRepeat) {
   RunOptions opts = smoke_options("");
   opts.repeat = 0;
   EXPECT_THROW(run_benchmarks(opts), std::invalid_argument);
+}
+
+harness::Options runner_args(std::vector<const char*> args) {
+  args.insert(args.begin(), "bench_runner");
+  return harness::Options::parse(static_cast<int>(args.size()), args.data());
+}
+
+TEST(BenchRunner, ParsesItsDocumentedFlags) {
+  const RunOptions run = parse_run_options(
+      runner_args({"--filter", "smoke", "--repeat", "2", "--threads", "3",
+                   "--quick", "--seed", "9", "--out", "dir", "--stats",
+                   "--list"}));
+  EXPECT_EQ(run.filter, "smoke");
+  EXPECT_EQ(run.repeat, 2);
+  EXPECT_EQ(run.threads, 3);
+  EXPECT_TRUE(run.quick);
+  EXPECT_EQ(run.seed, 9u);
+  EXPECT_EQ(run.out_dir, "dir");
+  EXPECT_TRUE(run.stats);
+}
+
+// A flag outside the documented set (a typo, or the retired --cache
+// mode) is an error naming the flag, never a silent default.
+TEST(BenchRunner, RejectsUnknownFlags) {
+  for (const std::vector<const char*>& args :
+       {std::vector<const char*>{"--cache=on"},
+        std::vector<const char*>{"--quick", "--cache-shards", "4"},
+        std::vector<const char*>{"--filtr", "smoke"}}) {
+    try {
+      parse_run_options(runner_args(args));
+      ADD_FAILURE() << "accepted " << args.back();
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown flag --"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // ---- parallel sweeps -----------------------------------------------------

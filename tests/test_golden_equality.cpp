@@ -13,13 +13,13 @@
 
 #include "core/chain_algorithms.hpp"
 #include "core/tree_builder.hpp"
-#include "core/weighted_sort.hpp"
 #include "core/wsort.hpp"
 #include "fault/fault_inject.hpp"
 #include "fault/repair.hpp"
 #include "hcube/bits.hpp"
 #include "hcube/chain.hpp"
 #include "test_util.hpp"
+#include "weighted_sort_oracle.hpp"
 
 namespace hypercast::core {
 namespace {
@@ -116,14 +116,14 @@ MulticastSchedule ref_chain_algorithm(const MulticastRequest& req,
   return ref_build_chain_schedule(req.topo, chain, rule);
 }
 
-/// Reference W-sort goes through the faithful (paper-literal) weighted
-/// sort, so this also pins the builder's fast path to the faithful
-/// semantics end to end.
+/// Reference W-sort goes through the paper-literal Figure-7 weighted
+/// sort (the test oracle), so this also pins the builder's top-down
+/// sort to the paper's semantics end to end.
 MulticastSchedule ref_wsort(const MulticastRequest& req) {
   req.validate();
   auto chain =
       hcube::make_relative_chain(req.topo, req.source, req.destinations);
-  weighted_sort(req.topo, chain, WeightedSortImpl::Faithful);
+  weighted_sort_oracle(req.topo, chain);
   return ref_build_chain_schedule(req.topo, chain, NextRule::HighDim);
 }
 
@@ -179,7 +179,7 @@ TEST(GoldenEquality, ExhaustiveFourCubeAllSubsets) {
                          builder.build(req, rule), topo, ctx + " " + name);
         if (::testing::Test::HasFailure()) return;  // first mismatch only
       }
-      expect_identical(ref_wsort(req), builder.build_wsort(req, WeightedSortImpl::Fast), topo,
+      expect_identical(ref_wsort(req), builder.build_wsort(req), topo,
                        ctx + " wsort");
       if (::testing::Test::HasFailure()) return;
     }
@@ -205,7 +205,7 @@ TEST_P(GoldenEqualityFiveCube, RandomizedSweep) {
                        topo, ctx + " " + name);
       if (::testing::Test::HasFailure()) return;
     }
-    expect_identical(ref_wsort(req), builder.build_wsort(req, WeightedSortImpl::Fast), topo,
+    expect_identical(ref_wsort(req), builder.build_wsort(req), topo,
                      ctx + " wsort");
     // The registry entries route through a thread_local builder — they
     // must agree with the explicit-scratch path too.
@@ -256,8 +256,7 @@ TEST(GoldenEquality, FaultAwareRepairMatchesOnBothBases) {
     const auto ref_fixed =
         *fault::repair(ref_wsort(req), req.destinations, faults);
     const auto flat_fixed =
-        *fault::repair(builder.build_wsort(req, WeightedSortImpl::Fast),
-                       req.destinations, faults);
+        *fault::repair(builder.build_wsort(req), req.destinations, faults);
     expect_identical(ref_fixed.schedule, flat_fixed.schedule, topo,
                      ctx + " wsort repaired");
     if (::testing::Test::HasFailure()) return;

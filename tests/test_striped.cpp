@@ -52,7 +52,7 @@ TEST(StripeBytes, SplitReassembleRoundtrip) {
   for (const std::size_t size : {0ul, 1ul, 7ul, 10ul, 64ul, 1000ul}) {
     const auto payload = pattern_payload(size);
     for (const std::size_t stripes : {1ul, 3ul, 5ul, 8ul}) {
-      const auto split = coll::split_stripes(payload, stripes, false);
+      const auto split = coll::split_stripes(payload, stripes, 0);
       ASSERT_EQ(split.size(), stripes);
       const auto back =
           coll::reassemble_stripes(split, stripes, payload.size());
@@ -64,11 +64,12 @@ TEST(StripeBytes, SplitReassembleRoundtrip) {
 TEST(StripeBytes, ParityReconstructsAnySingleMissingStripe) {
   const auto payload = pattern_payload(1000);
   for (const std::size_t stripes : {2ul, 3ul, 7ul}) {
-    const auto split = coll::split_stripes(payload, stripes, true);
+    const auto split = coll::split_stripes(payload, stripes, 1);
     ASSERT_EQ(split.size(), stripes + 1);
     for (std::size_t missing = 0; missing < stripes; ++missing) {
-      const auto back = coll::reassemble_stripes(
-          split, stripes, payload.size(), static_cast<int>(missing));
+      const std::size_t gone[1] = {missing};
+      const auto back =
+          coll::reassemble_stripes(split, stripes, payload.size(), gone);
       EXPECT_EQ(back, payload) << "stripes=" << stripes
                                << " missing=" << missing;
     }
@@ -77,13 +78,26 @@ TEST(StripeBytes, ParityReconstructsAnySingleMissingStripe) {
 
 TEST(StripeBytes, RejectsBadArguments) {
   const auto payload = pattern_payload(16);
-  EXPECT_THROW(coll::split_stripes(payload, 0, false), std::invalid_argument);
-  const auto split = coll::split_stripes(payload, 4, false);
+  EXPECT_THROW(coll::split_stripes(payload, 0, 0), std::invalid_argument);
+  const auto split = coll::split_stripes(payload, 4, 0);
+  const auto rejects = [&](const auto& stripes,
+                           std::initializer_list<std::size_t> missing) {
+    const std::vector<std::size_t> gone(missing);
+    EXPECT_THROW(coll::reassemble_stripes(stripes, 4, payload.size(), gone),
+                 std::invalid_argument);
+  };
   // Reconstruction without the parity stripe present must refuse.
-  EXPECT_THROW(coll::reassemble_stripes(split, 4, payload.size(), 1),
-               std::invalid_argument);
-  EXPECT_THROW(coll::reassemble_stripes(split, 4, payload.size(), 4),
-               std::invalid_argument);
+  rejects(split, {1});
+  // A missing index past the stripe array, or a repeated one, is an
+  // error even when no data stripe is missing.
+  rejects(split, {4});
+  const auto parity2 = coll::split_stripes(payload, 4, 2);
+  rejects(parity2, {9});
+  rejects(parity2, {5, 5});
+  // A missing parity stripe alone is legal and changes nothing.
+  const std::size_t parity_gone[1] = {5};
+  EXPECT_EQ(coll::reassemble_stripes(parity2, 4, payload.size(), parity_gone),
+            payload);
 }
 
 TEST(StripedPlanTest, FourCubePlanIsDisjointAndCovers) {
@@ -298,7 +312,7 @@ TEST(StripedFaults, RootLinkFaultDropsExactlyOneTreeOntoParity) {
   const NodeId source = 3;
   MulticastRequest request{topo, source, broadcast_dests(topo, source)};
   StripeOptions options;
-  options.parity = true;
+  options.parity_stripes = 1;
 
   fault::FaultSet faults(topo);
   // The dim-1 link at the source: relative arc 0 -> 2 is tree 1's root
@@ -310,12 +324,12 @@ TEST(StripedFaults, RootLinkFaultDropsExactlyOneTreeOntoParity) {
       StripedPlanner(options).plan(request, 1 << 20, faults);
   EXPECT_EQ(plan.parity_tree, 3);
   EXPECT_EQ(plan.data_stripes, 3u);
-  EXPECT_EQ(plan.dropped_tree, 1);
+  EXPECT_EQ(plan.dropped_trees, std::vector<int>{1});
   EXPECT_EQ(plan.repaired_trees, 0u);
   EXPECT_EQ(plan.jobs().size(), 3u);
   // The surviving trees replay untouched under the fault set.
   for (std::size_t t = 0; t < plan.trees.size(); ++t) {
-    if (static_cast<int>(t) == plan.dropped_tree) continue;
+    if (plan.dropped(t)) continue;
     EXPECT_EQ(fault::blocked_unicasts(*plan.trees[t], faults), 0u);
   }
 }
@@ -332,7 +346,7 @@ TEST(StripedFaults, RepairedPlanDeliversUnderFaultsInDes) {
   faults.fail_link(0b0101, 1);  // interior link: hits at most two trees
 
   const StripedPlan plan = StripedPlanner().plan(request, 1 << 20, faults);
-  EXPECT_EQ(plan.dropped_tree, -1);
+  EXPECT_TRUE(plan.dropped_trees.empty());
   EXPECT_GE(plan.repaired_trees, 1u);
   EXPECT_LE(plan.repaired_trees, 2u);
 
@@ -384,7 +398,7 @@ TEST(StripeBytes, ZeroLengthAndSubStripePayloads) {
   // Zero-length payload: all stripes empty, reassembles to empty, and
   // parity reconstruction of an "empty loss" works.
   const std::vector<std::uint8_t> empty;
-  const auto zsplit = coll::split_stripes(empty, 4, std::size_t{2});
+  const auto zsplit = coll::split_stripes(empty, 4, 2);
   ASSERT_EQ(zsplit.size(), 6u);
   for (const auto& s : zsplit) EXPECT_TRUE(s.empty());
   const std::size_t zmiss[2] = {0, 3};
@@ -394,7 +408,7 @@ TEST(StripeBytes, ZeroLengthAndSubStripePayloads) {
   // Payload shorter than the stripe count: ceil-width 1, trailing data
   // stripes empty; any two losses recover.
   const auto payload = pattern_payload(2);
-  const auto split = coll::split_stripes(payload, 5, std::size_t{2});
+  const auto split = coll::split_stripes(payload, 5, 2);
   ASSERT_EQ(split.size(), 7u);
   EXPECT_EQ(split[0].size(), 1u);
   EXPECT_EQ(split[1].size(), 1u);
@@ -515,7 +529,7 @@ TEST(StripedFaults, DegradedPlansAreKeyedByFaultContent) {
   MulticastRequest request{topo, source, broadcast_dests(topo, source)};
   auto cache = std::make_shared<ScheduleCache>();
   StripeOptions options;
-  options.parity = true;
+  options.parity_stripes = 1;
   const StripedPlanner planner(options, cache);
 
   fault::FaultSet faults(topo);
@@ -570,7 +584,7 @@ TEST(StripedFaults, UntouchedTreesAreNotRepaired) {
   ASSERT_FALSE(any_blocked);
 
   const StripedPlan degraded = planner.plan(request, 1 << 20, faults);
-  EXPECT_EQ(degraded.dropped_tree, -1);
+  EXPECT_TRUE(degraded.dropped_trees.empty());
   EXPECT_EQ(degraded.repaired_trees, 0u);
   for (std::size_t t = 0; t < clean.trees.size(); ++t) {
     EXPECT_TRUE(*clean.trees[t] == *degraded.trees[t]);

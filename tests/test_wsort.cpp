@@ -5,6 +5,7 @@
 #include "core/contention.hpp"
 #include "hcube/ecube.hpp"
 #include "test_util.hpp"
+#include "weighted_sort_oracle.hpp"
 
 namespace hypercast::core {
 namespace {
@@ -90,6 +91,8 @@ TEST_P(WsortProperty, NeverWorseThanMaxportOnAverageSteps) {
   EXPECT_LE(wsort_total, maxport_total + 1e-9);
 }
 
+/// wsort() equals Maxport's HighDim rule run over the Figure-7 oracle's
+/// chain.
 TEST_P(WsortProperty, FaithfulAndFastImplsGiveTheSameSchedule) {
   const Topology topo = this->topo();
   workload::Rng rng(523);
@@ -97,9 +100,11 @@ TEST_P(WsortProperty, FaithfulAndFastImplsGiveTheSameSchedule) {
     const std::size_t m =
         1 + rng() % std::min<std::size_t>(topo.num_nodes() - 1, 30);
     const auto req = random_request(topo, m, rng);
-    const auto a = wsort(req, WeightedSortImpl::Faithful);
-    const auto b = wsort(req, WeightedSortImpl::Fast);
-    EXPECT_EQ(a.format_tree(), b.format_tree());
+    auto chain =
+        hcube::make_relative_chain(topo, req.source, req.destinations);
+    weighted_sort_oracle(topo, chain);
+    const auto expected = build_chain_schedule(topo, chain, NextRule::HighDim);
+    EXPECT_EQ(wsort(req).format_tree(), expected.format_tree());
   }
 }
 

@@ -16,8 +16,8 @@ Usage:
       [--baseline-dir results] [--threshold 0.30] [--only SUBSTR]
 
 --only restricts the comparison to benchmark names containing SUBSTR
-(applied to both sides; used by CI to gate cached-mode "_cached"
-artifacts against their own baselines only). A SUBSTR that matches no
+(applied to both sides; used by CI to give one benchmark a gate step
+of its own). A SUBSTR that matches no
 fresh artifact or no committed baseline is an error (exit 2), not a
 silent pass -- a renamed benchmark must not leave a green gate
 comparing nothing. The threshold can also be set via the

@@ -409,12 +409,11 @@ int cmd_stripe(const harness::Options& opts) {
   const std::size_t bytes =
       static_cast<std::size_t>(opts.get_int_or("bytes", 1 << 20));
   coll::StripeOptions stripe_opts;
-  // Bare --parity keeps the legacy single-XOR-stripe meaning;
-  // --parity=<k> reserves k Reed-Solomon parity trees (any k lost
-  // stripes recoverable).
+  // Bare --parity reserves one XOR parity tree; --parity=<k> reserves
+  // k Reed-Solomon parity trees (any k lost stripes recoverable).
   if (opts.has("parity")) {
     if (opts.is_bare_flag("parity")) {
-      stripe_opts.parity = true;
+      stripe_opts.parity_stripes = 1;
     } else {
       const long k = opts.get_int("parity");
       if (k < 0) throw std::invalid_argument("--parity expects k >= 0");
