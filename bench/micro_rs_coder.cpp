@@ -60,7 +60,7 @@ void run(const bench::Context& ctx, bench::Report& report) {
                 s.label, encode_bps / 1e6, s.m, s.k);
 
     // Reconstruct the worst case: k data stripes lost, all k parity
-    // rows needed (full matrix inversion + k addmul passes per row).
+    // rows needed (one k x k inversion, then m sweeps per lost stripe).
     std::vector<std::vector<std::uint8_t>> stripes = data;
     rs.encode(data, parity, width);
     for (auto& p : parity) stripes.push_back(std::move(p));

@@ -1,6 +1,12 @@
 #include "code/gf256.hpp"
 
 #include <cassert>
+#include <cstring>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#define HYPERCAST_GF_X86 1
+#endif
 
 namespace hypercast::code {
 
@@ -29,11 +35,26 @@ Gf256Tables::Gf256Tables() {
     }
   }
   for (unsigned b = 0; b < 256; ++b) mul[0][b] = 0;
+  for (unsigned a = 0; a < 256; ++a) {
+    for (unsigned i = 0; i < 16; ++i) mul_hi[a][i] = mul[a][i << 4];
+  }
 }
 
 const Gf256Tables& gf_tables() {
   static const Gf256Tables tables;
   return tables;
+}
+
+void gf_addmul_scalar(std::uint8_t* dst, const std::uint8_t* src,
+                      std::uint8_t c, std::size_t n) {
+  const std::uint8_t* row = gf_tables().mul[c];
+  for (std::size_t i = 0; i < n; ++i) dst[i] ^= row[src[i]];
+}
+
+void gf_mul_row_scalar(std::uint8_t* dst, const std::uint8_t* src,
+                       std::uint8_t c, std::size_t n) {
+  const std::uint8_t* row = gf_tables().mul[c];
+  for (std::size_t i = 0; i < n; ++i) dst[i] = row[src[i]];
 }
 
 }  // namespace detail
@@ -58,36 +79,96 @@ std::uint8_t gf_pow(std::uint8_t a, unsigned e) {
   return t.exp[(static_cast<unsigned>(t.log[a]) * e) % 255];
 }
 
-// The two byte kernels carry every parity byte, and how fast their table
-// loops run depends on where the loop lands within a cache line. Aligning
-// them to one keeps that layout fixed whatever code links ahead of them:
-// on a 4-vCPU Intel Xeon guest, an unrelated change that moved them by
-// 32 bytes cost the stripe_faulted benchmark ~12% of its ops/s.
-[[gnu::aligned(64)]] void gf_addmul(std::uint8_t* dst,
-                                    const std::uint8_t* src, std::uint8_t c,
-                                    std::size_t n) {
-  if (c == 0 || n == 0) return;
-  if (c == 1) {
-    for (std::size_t i = 0; i < n; ++i) dst[i] ^= src[i];
-    return;
-  }
-  const std::uint8_t* row = detail::gf_tables().mul[c];
-  for (std::size_t i = 0; i < n; ++i) dst[i] ^= row[src[i]];
+namespace {
+
+#ifdef HYPERCAST_GF_X86
+
+bool have_avx2() {
+  static const bool yes = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+  }();
+  return yes;
 }
 
-[[gnu::aligned(64)]] void gf_mul_row(std::uint8_t* dst,
-                                     const std::uint8_t* src, std::uint8_t c,
-                                     std::size_t n) {
+// The AVX2 bodies: whole 32-byte blocks only, returning how many bytes
+// they covered so the scalar loop finishes the tail. Each source byte
+// s is split into nibbles and both are looked up in the constant's
+// 16-entry product tables (broadcast to both 128-bit lanes, as PSHUFB
+// shuffles within a lane): c * s == lo[s & 15] ^ hi[s >> 4]. Loads and
+// stores are unaligned; dst == src is safe because every block is
+// loaded before it is stored. Aligned to a cache line so their loop
+// layout does not shift with whatever code links ahead of them.
+template <bool kAccumulate>
+[[gnu::target("avx2"), gnu::aligned(64)]] std::size_t mul_avx2(
+    std::uint8_t* dst, const std::uint8_t* src, std::uint8_t c,
+    std::size_t n) {
+  const detail::Gf256Tables& t = detail::gf_tables();
+  const __m256i lo = _mm256_broadcastsi128_si256(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(t.mul[c])));
+  const __m256i hi = _mm256_broadcastsi128_si256(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(t.mul_hi[c])));
+  const __m256i nibble = _mm256_set1_epi8(0x0f);
+  const std::size_t body = n & ~std::size_t{31};
+  for (std::size_t i = 0; i < body; i += 32) {
+    const __m256i s =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
+    __m256i p = _mm256_xor_si256(
+        _mm256_shuffle_epi8(lo, _mm256_and_si256(s, nibble)),
+        _mm256_shuffle_epi8(
+            hi, _mm256_and_si256(_mm256_srli_epi16(s, 4), nibble)));
+    auto* d = reinterpret_cast<__m256i*>(dst + i);
+    if constexpr (kAccumulate) p = _mm256_xor_si256(p, _mm256_loadu_si256(d));
+    _mm256_storeu_si256(d, p);
+  }
+  return body;
+}
+
+[[gnu::target("avx2"), gnu::aligned(64)]] std::size_t xor_avx2(
+    std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
+  const std::size_t body = n & ~std::size_t{31};
+  for (std::size_t i = 0; i < body; i += 32) {
+    auto* d = reinterpret_cast<__m256i*>(dst + i);
+    _mm256_storeu_si256(
+        d, _mm256_xor_si256(_mm256_loadu_si256(d),
+                            _mm256_loadu_si256(
+                                reinterpret_cast<const __m256i*>(src + i))));
+  }
+  return body;
+}
+
+#endif  // HYPERCAST_GF_X86
+
+}  // namespace
+
+void gf_addmul(std::uint8_t* dst, const std::uint8_t* src, std::uint8_t c,
+               std::size_t n) {
+  if (c == 0 || n == 0) return;
+  std::size_t done = 0;
+#ifdef HYPERCAST_GF_X86
+  if (have_avx2()) {
+    done = c == 1 ? xor_avx2(dst, src, n) : mul_avx2<true>(dst, src, c, n);
+  }
+#endif
+  detail::gf_addmul_scalar(dst + done, src + done, c, n - done);
+}
+
+void gf_mul_row(std::uint8_t* dst, const std::uint8_t* src, std::uint8_t c,
+                std::size_t n) {
+  if (n == 0) return;
   if (c == 0) {
-    for (std::size_t i = 0; i < n; ++i) dst[i] = 0;
+    std::memset(dst, 0, n);
     return;
   }
   if (c == 1) {
-    for (std::size_t i = 0; i < n; ++i) dst[i] = src[i];
+    std::memmove(dst, src, n);
     return;
   }
-  const std::uint8_t* row = detail::gf_tables().mul[c];
-  for (std::size_t i = 0; i < n; ++i) dst[i] = row[src[i]];
+  std::size_t done = 0;
+#ifdef HYPERCAST_GF_X86
+  if (have_avx2()) done = mul_avx2<false>(dst, src, c, n);
+#endif
+  detail::gf_mul_row_scalar(dst + done, src + done, c, n - done);
 }
 
 }  // namespace hypercast::code

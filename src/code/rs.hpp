@@ -52,14 +52,31 @@ class RsCode {
               std::vector<std::vector<std::uint8_t>>& parity,
               std::size_t width) const;
 
-  /// Rebuild missing data stripes in place. `stripes` holds the m + k
-  /// slots (data first, then parity); `missing` lists the unavailable
-  /// slot indices in [0, m + k) — missing *data* stripes are
-  /// reconstructed (each resized to `width`, zero-padded tail
-  /// included), missing parity stripes merely shrink the budget.
-  /// Requires #missing-data <= #surviving-parity; throws
-  /// std::invalid_argument otherwise (more erasures than the code
-  /// tolerates) or when `missing` repeats/overflows an index.
+  /// Rebuild lost data stripes into caller memory. `stripes` views the
+  /// m + k slots (data first, then parity), each notionally zero-padded
+  /// to `width`; views of missing slots are never read. `missing` lists
+  /// the unavailable slot indices in [0, m + k). `out` has one view per
+  /// data slot: for every missing data slot j, the first out[j].size()
+  /// (<= width) bytes of stripe j are written there; the other views
+  /// are ignored. Missing parity stripes merely shrink the budget.
+  ///
+  /// Single pass: the e-by-e erasure submatrix over the first e
+  /// surviving parity rows is inverted once (scalar, e <= k), folded
+  /// into one coefficient row per lost stripe over the surviving data
+  /// and parity stripes, and each lost stripe is then one gf_mul_row +
+  /// gf_addmul sweep per surviving stripe it depends on.
+  ///
+  /// Throws std::invalid_argument when #missing-data >
+  /// #surviving-parity (more erasures than the code tolerates), when
+  /// `missing` repeats/overflows an index, when a surviving stripe read
+  /// is wider than `width`, or on a slot/view count or view width that
+  /// does not fit the code.
+  void decode(std::span<const std::span<const std::uint8_t>> stripes,
+              std::span<const std::size_t> missing, std::size_t width,
+              std::span<const std::span<std::uint8_t>> out) const;
+
+  /// decode() over owned stripes, in place: every missing data stripe
+  /// is resized to `width` (zero-padded tail included) and rebuilt.
   void reconstruct(std::vector<std::vector<std::uint8_t>>& stripes,
                    std::span<const std::size_t> missing,
                    std::size_t width) const;

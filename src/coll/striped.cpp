@@ -119,41 +119,52 @@ std::vector<std::uint8_t> reassemble_stripes(
   }
   const std::size_t width =
       (payload_bytes + data_stripes - 1) / data_stripes;
-  // Reconstruct lost data stripes (if any) through the RS decoder; the
-  // working copy is only materialized when something is missing.
-  std::vector<std::vector<std::uint8_t>> recovered;
+  std::vector<char> gone(stripes.size(), 0);
   bool any_data_missing = false;
-  for (auto it = missing.begin(); it != missing.end(); ++it) {
-    if (*it >= stripes.size() || std::find(missing.begin(), it, *it) != it) {
+  for (const std::size_t i : missing) {
+    if (i >= stripes.size() || gone[i]) {
       throw std::invalid_argument(
           "reassemble_stripes: missing index out of range or repeated");
     }
-    if (*it < data_stripes) any_data_missing = true;
+    gone[i] = 1;
+    if (i < data_stripes) any_data_missing = true;
   }
-  if (any_data_missing) {
-    const std::size_t parity_stripes = stripes.size() - data_stripes;
-    const code::RsCode rs(data_stripes, parity_stripes);
-    recovered.assign(stripes.begin(), stripes.end());
-    rs.reconstruct(recovered, missing, width);
+  for (std::size_t i = 0; i < stripes.size(); ++i) {
+    if (!gone[i] && stripes[i].size() > width) {
+      throw std::invalid_argument(
+          "reassemble_stripes: stripe wider than the payload's stripe width");
+    }
   }
-  const std::span<const std::vector<std::uint8_t>> source =
-      any_data_missing
-          ? std::span<const std::vector<std::uint8_t>>(recovered)
-          : stripes;
+  // Present data stripes are copied into place; lost ones get a zeroed
+  // placeholder that the RS decoder then overwrites.
   std::vector<std::uint8_t> out;
   out.reserve(payload_bytes);
   for (std::size_t i = 0; i < data_stripes && out.size() < payload_bytes;
        ++i) {
-    const std::vector<std::uint8_t>& s = source[i];
-    const std::size_t take =
-        std::min(payload_bytes - out.size(), std::min(width, s.size()));
-    out.insert(out.end(), s.begin(),
-               s.begin() + static_cast<std::ptrdiff_t>(take));
-    if (take < width && out.size() < payload_bytes) break;
+    const std::size_t take = std::min(width, payload_bytes - out.size());
+    if (gone[i]) {
+      out.resize(out.size() + take);
+      continue;
+    }
+    if (stripes[i].size() < take) {
+      throw std::invalid_argument(
+          "reassemble_stripes: stripes shorter than payload");
+    }
+    out.insert(out.end(), stripes[i].begin(),
+               stripes[i].begin() + static_cast<std::ptrdiff_t>(take));
   }
-  if (out.size() != payload_bytes) {
-    throw std::invalid_argument(
-        "reassemble_stripes: stripes shorter than payload");
+  if (any_data_missing) {
+    std::vector<std::span<const std::uint8_t>> in(stripes.begin(),
+                                                  stripes.end());
+    std::vector<std::span<std::uint8_t>> lost(data_stripes);
+    for (std::size_t i = 0; i < data_stripes; ++i) {
+      if (!gone[i]) continue;
+      const std::size_t begin = std::min(payload_bytes, i * width);
+      lost[i] = std::span<std::uint8_t>(out).subspan(
+          begin, std::min(width, payload_bytes - begin));
+    }
+    const code::RsCode rs(data_stripes, stripes.size() - data_stripes);
+    rs.decode(in, missing, width, lost);
   }
   return out;
 }

@@ -114,9 +114,12 @@ std::vector<std::vector<std::uint8_t>> split_stripes(
 /// Reassemble the original payload from the stripe array (data stripes
 /// first, then any parity stripes). `missing` lists unavailable stripe
 /// indices, data or parity; missing data stripes are
-/// Reed-Solomon-reconstructed from the surviving ones. Throws
-/// std::invalid_argument for a missing index >= stripes.size(), a
-/// repeated index, or more missing data stripes than surviving parity.
+/// Reed-Solomon-decoded from the surviving ones straight into the
+/// returned buffer. Throws std::invalid_argument for a missing index >=
+/// stripes.size(), a repeated index, a present stripe wider than the
+/// payload's stripe width ceil(payload_bytes / data_stripes), a present
+/// data stripe shorter than its share of the payload, or more missing
+/// data stripes than surviving parity.
 std::vector<std::uint8_t> reassemble_stripes(
     std::span<const std::vector<std::uint8_t>> stripes,
     std::size_t data_stripes, std::size_t payload_bytes,

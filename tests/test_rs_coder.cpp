@@ -6,9 +6,12 @@
 
 #include "code/rs.hpp"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <numeric>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -90,6 +93,73 @@ TEST(Gf256, AddmulAndMulRowMatchScalarLoop) {
   }
 }
 
+/// Every constant, every length 0..130 and every src/dst misalignment
+/// 0..31 against a 32-byte boundary: the dispatched kernels (on an AVX2
+/// host, the SIMD body plus the scalar tail) must equal the scalar
+/// reference byte for byte, and must not touch a byte outside
+/// [dst, dst + n). The dst offset is tied to (src offset + c) mod 32,
+/// so across the constants every (src, dst) misalignment pair is run
+/// at every length.
+TEST(Gf256, KernelsMatchScalarReferenceExhaustively) {
+  // The reference itself against gf_mul, every constant x every byte.
+  std::array<std::uint8_t, 256> ramp{};
+  std::iota(ramp.begin(), ramp.end(), std::uint8_t{0});
+  for (unsigned cu = 0; cu < 256; ++cu) {
+    const auto c = static_cast<std::uint8_t>(cu);
+    std::array<std::uint8_t, 256> prod{};
+    std::array<std::uint8_t, 256> acc = ramp;
+    code::detail::gf_mul_row_scalar(prod.data(), ramp.data(), c, 256);
+    code::detail::gf_addmul_scalar(acc.data(), ramp.data(), c, 256);
+    for (unsigned b = 0; b < 256; ++b) {
+      const std::uint8_t want = code::gf_mul(c, static_cast<std::uint8_t>(b));
+      ASSERT_EQ(prod[b], want) << "c=" << cu << " b=" << b;
+      ASSERT_EQ(acc[b], want ^ b) << "c=" << cu << " b=" << b;
+    }
+  }
+
+  constexpr std::size_t kMaxLen = 130;
+  constexpr std::size_t kAlign = 32;
+  constexpr std::size_t kBuf = kMaxLen + 2 * kAlign;
+  workload::Rng rng(0xa1a2);
+  alignas(kAlign) std::array<std::uint8_t, kBuf> src{};
+  alignas(kAlign) std::array<std::uint8_t, kBuf> fill{};
+  for (auto& b : src) b = static_cast<std::uint8_t>(rng());
+  for (auto& b : fill) b = static_cast<std::uint8_t>(rng());
+  alignas(kAlign) std::array<std::uint8_t, kBuf> got{};
+  alignas(kAlign) std::array<std::uint8_t, kBuf> want{};
+  for (unsigned cu = 0; cu < 256; ++cu) {
+    const auto c = static_cast<std::uint8_t>(cu);
+    for (std::size_t n = 0; n <= kMaxLen; ++n) {
+      for (std::size_t so = 0; so < kAlign; ++so) {
+        const std::size_t dof = (so + cu) % kAlign;
+        got = fill;
+        want = fill;
+        code::gf_addmul(got.data() + dof, src.data() + so, c, n);
+        code::detail::gf_addmul_scalar(want.data() + dof, src.data() + so, c,
+                                       n);
+        ASSERT_EQ(got, want) << "addmul c=" << cu << " n=" << n
+                             << " src+" << so << " dst+" << dof;
+        got = fill;
+        want = fill;
+        code::gf_mul_row(got.data() + dof, src.data() + so, c, n);
+        code::detail::gf_mul_row_scalar(want.data() + dof, src.data() + so, c,
+                                        n);
+        ASSERT_EQ(got, want) << "mul_row c=" << cu << " n=" << n
+                             << " src+" << so << " dst+" << dof;
+      }
+    }
+  }
+  // In place (dst == src), the form gf_mul_row's contract allows.
+  for (const std::uint8_t c : {0, 1, 2, 29, 255}) {
+    got = src;
+    want = src;
+    code::gf_mul_row(got.data() + 3, got.data() + 3, c, kMaxLen);
+    code::detail::gf_mul_row_scalar(want.data() + 3, want.data() + 3, c,
+                                    kMaxLen);
+    ASSERT_EQ(got, want) << "in-place mul_row c=" << int{c};
+  }
+}
+
 std::vector<std::vector<std::uint8_t>> random_stripes(std::size_t m,
                                                       std::size_t width,
                                                       workload::Rng& rng) {
@@ -167,6 +237,41 @@ TEST(RsCode, EveryErasurePatternUpToKRecovers) {
       }
     }
   }
+}
+
+/// decode() writes only the lost data stripes, and only the prefix of
+/// each that the caller's view asks for; the other views stay as they
+/// were, and a view wider than `width` is refused.
+TEST(RsCode, DecodeWritesPrefixesIntoCallerMemory) {
+  workload::Rng rng(0xdec0de);
+  const std::size_t m = 6, k = 2, width = 70;
+  const RsCode rs(m, k);
+  auto data = random_stripes(m, width, rng);
+  data[m - 1].resize(20);  // a short tail stripe, zero-padded by contract
+  std::vector<std::vector<std::uint8_t>> parity;
+  rs.encode(data, parity, width);
+  std::vector<std::span<const std::uint8_t>> in(data.begin(), data.end());
+  in.insert(in.end(), parity.begin(), parity.end());
+
+  const std::size_t missing[2] = {1, m - 1};
+  std::vector<std::uint8_t> lost1(33, 0xee), lost_tail(width, 0xee),
+      untouched(width, 0xee);
+  std::vector<std::span<std::uint8_t>> out(m);
+  out[1] = lost1;
+  out[m - 1] = lost_tail;
+  out[0] = untouched;  // present slot: its view is ignored
+  rs.decode(in, missing, width, out);
+  EXPECT_TRUE(std::equal(lost1.begin(), lost1.end(), data[1].begin()));
+  EXPECT_TRUE(std::equal(lost_tail.begin(), lost_tail.begin() + 20,
+                         data[m - 1].begin()));
+  EXPECT_TRUE(std::all_of(lost_tail.begin() + 20, lost_tail.end(),
+                          [](std::uint8_t b) { return b == 0; }));
+  EXPECT_TRUE(std::all_of(untouched.begin(), untouched.end(),
+                          [](std::uint8_t b) { return b == 0xee; }));
+
+  std::vector<std::uint8_t> too_wide(width + 1);
+  out[1] = too_wide;
+  EXPECT_THROW(rs.decode(in, missing, width, out), std::invalid_argument);
 }
 
 /// Randomized fuzz at planner shapes: (m, k) with m + k = n for cube

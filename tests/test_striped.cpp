@@ -7,6 +7,7 @@
 #include "coll/striped.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <memory>
 #include <numeric>
 #include <vector>
@@ -98,6 +99,55 @@ TEST(StripeBytes, RejectsBadArguments) {
   const std::size_t parity_gone[1] = {5};
   EXPECT_EQ(coll::reassemble_stripes(parity2, 4, payload.size(), parity_gone),
             payload);
+}
+
+// m = 6, k = 2 (the 8-cube shape): every erasure pattern of up to two
+// of the eight stripes round-trips, at payload sizes that straddle the
+// coder's 32-byte SIMD block (a stripe width of 31, 32 and 33 bytes)
+// and a large one whose stripes end in a partial block.
+TEST(StripeBytes, EveryDoubleErasureRoundTripsAcrossSimdBlockSizes) {
+  constexpr std::size_t m = 6, k = 2;
+  for (const std::size_t size : {6ul * 32 - 1, 6ul * 32, 6ul * 32 + 1,
+                                 65536ul + 7}) {
+    const auto payload = pattern_payload(size);
+    const auto split = coll::split_stripes(payload, m, k);
+    ASSERT_EQ(split.size(), m + k);
+    for (std::uint32_t mask = 0; mask < (1u << (m + k)); ++mask) {
+      if (std::popcount(mask) > static_cast<int>(k)) continue;
+      std::vector<std::size_t> missing;
+      auto damaged = split;
+      for (std::size_t i = 0; i < m + k; ++i) {
+        if (mask & (1u << i)) {
+          missing.push_back(i);
+          damaged[i].assign(damaged[i].size(), 0);
+        }
+      }
+      ASSERT_EQ(coll::reassemble_stripes(damaged, m, size, missing), payload)
+          << "size=" << size << " mask=" << mask;
+    }
+  }
+}
+
+// A present stripe wider than the payload's stripe width is malformed
+// input, whether or not anything has to be reconstructed.
+TEST(StripeBytes, RejectsStripesWiderThanTheWidth) {
+  const auto payload = pattern_payload(100);  // m = 4: width 25
+  const auto split = coll::split_stripes(payload, 4, 2);
+  const auto widened = [&](std::size_t i) {
+    auto stripes = split;
+    stripes[i].push_back(0);
+    return stripes;
+  };
+  const std::vector<std::size_t> none;
+  const std::vector<std::size_t> lost0 = {0};
+  EXPECT_THROW(coll::reassemble_stripes(widened(1), 4, 100, none),
+               std::invalid_argument);
+  EXPECT_THROW(coll::reassemble_stripes(widened(1), 4, 100, lost0),
+               std::invalid_argument);
+  EXPECT_THROW(coll::reassemble_stripes(widened(5), 4, 100, none),
+               std::invalid_argument);
+  // A missing stripe's contents are never read, whatever their size.
+  EXPECT_EQ(coll::reassemble_stripes(widened(0), 4, 100, lost0), payload);
 }
 
 TEST(StripedPlanTest, FourCubePlanIsDisjointAndCovers) {
