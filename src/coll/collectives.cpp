@@ -13,7 +13,6 @@ constexpr std::size_t kBarrierBytes = 8;
 
 Collectives::Collectives(Options options)
     : options_(std::move(options)),
-      algo_(&core::find_algorithm(options_.algorithm)),
       pipeline_(std::make_unique<ServePipeline>(
           options_.algorithm,
           options_.cache_enabled

@@ -8,7 +8,6 @@
 #include "coll/reduce.hpp"
 #include "coll/scatter.hpp"
 #include "coll/serve_pipeline.hpp"
-#include "core/registry.hpp"
 #include "sim/wormhole_sim.hpp"
 
 namespace hypercast::coll {
@@ -104,7 +103,6 @@ class Collectives {
 
  private:
   Options options_;
-  const core::AlgorithmEntry* algo_;
   std::unique_ptr<ServePipeline> pipeline_;
 };
 

@@ -4,6 +4,7 @@
 #include <array>
 #include <thread>
 
+#include "obs/histogram.hpp"
 #include "obs/registry.hpp"
 
 namespace hypercast::coll {
@@ -41,6 +42,19 @@ std::array<L1Slot, kL1Slots>& l1_table() {
 
 L1Slot& l1_slot_for(std::uint64_t hash) {
   return l1_table()[(hash >> 8) & (kL1Slots - 1)];
+}
+
+/// Per-thread keying scratch: the canonical key and the relative chain
+/// buffer, recycled across calls and cache instances (the zero-allocation
+/// steady state of a hit).
+struct KeyScratch {
+  core::CacheKey key;
+  std::vector<core::NodeId> chain;
+};
+
+KeyScratch& key_scratch() {
+  thread_local KeyScratch scratch;
+  return scratch;
 }
 
 }  // namespace
@@ -104,11 +118,12 @@ void ScheduleCache::put(
     const core::CacheKey& key,
     std::shared_ptr<const core::MulticastSchedule> schedule) {
   Shard& shard = *shards_[shard_of(key)];
-  const std::size_t bytes =
-      schedule->footprint_bytes() + key.footprint_bytes() + 64;
-
   std::lock_guard<std::mutex> lock(shard.mu);
   auto [it, inserted] = shard.map.try_emplace(key);
+  // Charge the stored copy: the caller's key may be a recycled scratch
+  // buffer whose capacity reflects some earlier, larger request.
+  const std::size_t bytes =
+      schedule->footprint_bytes() + it->first.footprint_bytes() + 64;
   Entry& entry = it->second;
   if (!inserted) {
     shard.bytes -= entry.bytes;
@@ -120,6 +135,95 @@ void ScheduleCache::put(
   entry.lru = shard.lru.begin();
   shard.bytes += bytes;
   evict_over_budget_locked(shard);
+}
+
+std::shared_ptr<const core::MulticastSchedule> ScheduleCache::get_translated(
+    const core::MulticastRequest& request, std::uint8_t algo,
+    const RelativeBuilder& build, const WalkTimers* timers,
+    bool sampled) {
+  KeyScratch& tls = key_scratch();
+  const core::NodeId mask = request.source;
+  sampled = sampled && timers != nullptr;
+  const std::uint64_t t_start = sampled ? obs::now_ns() : 0;
+  // One canonicalization pass yields both identities: the absolute one
+  // (this exact translation) and, via a cheap rekey() of the header, the
+  // relative one (shared by every translation of the chain).
+  core::canonical_key_into(request.topo, request.source, request.destinations,
+                           algo, /*absolute=*/mask != 0, config_.hash_seed,
+                           tls.key);
+  std::uint64_t t_probe = 0;
+  if (sampled) {
+    t_probe = obs::now_ns();
+    timers->canonicalize_ns->record(t_probe - t_start);
+  }
+  if (mask != 0) {
+    if (auto hit = get(tls.key)) {
+      if (sampled) {
+        const std::uint64_t t_end = obs::now_ns();
+        timers->hit_ns->record(t_end - t_probe);
+        timers->total_ns->record(t_end - t_start);
+      }
+      return hit;
+    }
+    core::rekey(tls.key, /*absolute=*/false, 0);
+  }
+  auto rel = get(tls.key);
+  if (rel == nullptr) {
+    const obs::SpanGuard span(timers != nullptr ? timers->build_span
+                                                : nullptr);
+    const std::uint64_t t_build = timers != nullptr ? obs::now_ns() : 0;
+    core::relative_chain_from_key(request.topo, tls.key, tls.chain);
+    auto built = std::make_shared<core::MulticastSchedule>(request.topo, 0);
+    build(tls.chain, *built);
+    built->finalize();
+    put(tls.key, built);
+    if (timers != nullptr) {
+      timers->build_ns->record(obs::now_ns() - t_build);
+    }
+    rel = std::move(built);
+  } else if (sampled && mask == 0) {
+    timers->hit_ns->record(obs::now_ns() - t_probe);
+  }
+  if (mask == 0) {
+    if (sampled) timers->total_ns->record(obs::now_ns() - t_start);
+    return rel;  // zero-copy: the relative origin
+  }
+  const obs::SpanGuard span(timers != nullptr ? timers->translate_span
+                                              : nullptr);
+  const std::uint64_t t_translate = timers != nullptr ? obs::now_ns() : 0;
+  auto out = std::make_shared<core::MulticastSchedule>(request.topo,
+                                                       request.source);
+  out->assign_translated(*rel, mask);
+  out->finalize();
+  // Publish the materialized translation under its absolute identity so
+  // the next identical request shares it without copying.
+  core::rekey(tls.key, /*absolute=*/true, mask);
+  put(tls.key, out);
+  if (timers != nullptr) {
+    const std::uint64_t t_end = obs::now_ns();
+    timers->translate_ns->record(t_end - t_translate);
+    if (sampled) timers->total_ns->record(t_end - t_start);
+  }
+  return out;
+}
+
+std::size_t ScheduleCache::probe_shard(const core::MulticastRequest& request,
+                                       std::uint8_t algo) const {
+  core::CacheKey& key = key_scratch().key;
+  core::canonical_key_into(request.topo, request.source, request.destinations,
+                           algo, /*absolute=*/request.source != 0,
+                           config_.hash_seed, key);
+  return shard_of(key);
+}
+
+const core::CacheKey& ScheduleCache::fault_key(
+    const core::MulticastRequest& request, std::uint8_t algo,
+    std::span<const std::uint32_t> fault_ids, std::uint64_t salt) const {
+  core::CacheKey& key = key_scratch().key;
+  core::canonical_key_into(request.topo, request.source, request.destinations,
+                           algo, /*absolute=*/true, config_.hash_seed, key);
+  core::scope_to_faults(key, fault_ids, salt);
+  return key;
 }
 
 void ScheduleCache::evict_over_budget_locked(Shard& shard) {

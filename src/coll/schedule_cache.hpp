@@ -3,22 +3,58 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "core/cache_key.hpp"
 #include "core/multicast.hpp"
+#include "hcube/types.hpp"
 #include "obs/counter.hpp"
 
 namespace hypercast::obs {
+class Histogram;
 class Registry;
-}
+}  // namespace hypercast::obs
 
 namespace hypercast::coll {
+
+/// The one table of cache algorithm ids (core::CacheKey::algo). Every
+/// producer of cached schedules keys under its own block, so producers
+/// sharing one ScheduleCache never collide. Registry entries other than
+/// the four paper algorithms are served pass-through and own no id.
+namespace cache_algo {
+
+/// The translation-invariant paper algorithms (ServePipeline).
+inline constexpr std::uint8_t kUcube = 0;
+inline constexpr std::uint8_t kMaxport = 1;
+inline constexpr std::uint8_t kCombine = 2;
+inline constexpr std::uint8_t kWsort = 3;
+/// StripedPlanner's degraded-mode repair of IST tree t (absolute,
+/// fault-scoped): kIstRepair + t.
+inline constexpr std::uint8_t kIstRepair = 192;
+/// StripedPlanner's IST tree t (relative + materialized translations):
+/// kIst + t.
+inline constexpr std::uint8_t kIst = 224;
+
+static_assert(kWsort < kIstRepair, "paper ids overlap the IST-repair block");
+static_assert(kIstRepair + hcube::kMaxDim <= kIst,
+              "IST-repair block overlaps the IST block");
+static_assert(kIst + hcube::kMaxDim <= 256, "IST block overflows 8 bits");
+
+inline constexpr std::uint8_t ist(hcube::Dim tree) {
+  return static_cast<std::uint8_t>(kIst + tree);
+}
+inline constexpr std::uint8_t ist_repair(hcube::Dim tree) {
+  return static_cast<std::uint8_t>(kIstRepair + tree);
+}
+
+}  // namespace cache_algo
 
 /// Sharded, striped-lock LRU cache of finalized multicast schedules,
 /// keyed by core::CacheKey (dimension, resolution, algorithm, canonical
@@ -45,6 +81,11 @@ namespace hypercast::coll {
 ///    so an L1 entry that outlives its shared-tier eviction still serves
 ///    correct bytes; generation tags only guard deliberate invalidation.
 ///  * Stats counters are relaxed atomics; stats() is a racy snapshot.
+///
+/// Keying lives here too: get_translated is the one two-level
+/// (absolute, then relative) walk every translation-invariant producer
+/// serves through, and fault_key the one fault-scoped key. Both
+/// canonicalize into a per-thread scratch key.
 ///
 /// Capacity is a byte budget split evenly across shards; entries charge
 /// their schedule + key footprint and the least-recently *inserted or
@@ -120,6 +161,57 @@ class ScheduleCache {
   /// schedule must already be finalized; the cache never mutates it.
   void put(const core::CacheKey& key,
            std::shared_ptr<const core::MulticastSchedule> schedule);
+
+  /// Builds the relative schedule of one canonical chain into `out` (a
+  /// fresh schedule rooted at node 0). `chain` is node 0 followed by the
+  /// relative destinations in dimension order; the builder may permute
+  /// it. It must not call back into the cache.
+  using RelativeBuilder = std::function<void(std::vector<core::NodeId>& chain,
+                                             core::MulticastSchedule& out)>;
+
+  /// Stage instruments of get_translated. Build and translate are timed
+  /// on every call that passes them; canonicalize, hit and total only on
+  /// sampled calls. The span names label the build and translate stages
+  /// in traces.
+  struct WalkTimers {
+    obs::Histogram* canonicalize_ns = nullptr;
+    obs::Histogram* hit_ns = nullptr;
+    obs::Histogram* build_ns = nullptr;
+    obs::Histogram* translate_ns = nullptr;
+    obs::Histogram* total_ns = nullptr;
+    const char* build_span = nullptr;
+    const char* translate_span = nullptr;
+  };
+
+  /// Serve a translation-invariant request under algorithm id `algo`.
+  /// One canonicalization pass yields both identities: a translated
+  /// request (source != 0) probes its absolute key first (the
+  /// materialized translation, zero-copy on repeat), then the relative
+  /// key shared by every translation of its chain. A relative miss runs
+  /// `build` once and caches the result; a translated request then
+  /// XOR-materializes the relative schedule and publishes it under its
+  /// absolute key. Validates the request (throws std::invalid_argument).
+  /// `timers` may be nullptr (untimed); `sampled` times the hit path.
+  std::shared_ptr<const core::MulticastSchedule> get_translated(
+      const core::MulticastRequest& request, std::uint8_t algo,
+      const RelativeBuilder& build, const WalkTimers* timers = nullptr,
+      bool sampled = false);
+
+  /// The shard get_translated probes (and inserts) first for `request`:
+  /// its absolute key when translated, its relative key at source 0.
+  /// Batch servers partition on it to keep workers stripe-disjoint.
+  std::size_t probe_shard(const core::MulticastRequest& request,
+                          std::uint8_t algo) const;
+
+  /// The key of a fault-dependent entry: the absolute key of `request`
+  /// under `algo`, scoped to the fault set's sorted ids and `salt` (its
+  /// fingerprint, optionally mixed with further identity). Refers to this
+  /// thread's scratch key: valid until the thread's next fault_key,
+  /// probe_shard or get_translated call.
+  const core::CacheKey& fault_key(const core::MulticastRequest& request,
+                                  std::uint8_t algo,
+                                  std::span<const std::uint32_t> fault_ids,
+                                  std::uint64_t salt) const;
 
   /// Drop every entry and bump every shard's generation tag (which also
   /// kills all thread-local L1 entries).

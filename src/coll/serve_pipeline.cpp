@@ -4,10 +4,10 @@
 #include <exception>
 #include <mutex>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 
 #include "core/tree_builder.hpp"
-#include "core/wsort.hpp"
 #include "fault/repair.hpp"
 #include "obs/registry.hpp"
 
@@ -15,21 +15,12 @@ namespace hypercast::coll {
 
 namespace {
 
-/// Fixed algorithm ids for the translation-invariant built-ins (the
-/// only cached kinds), so pipelines sharing one cache never collide.
-constexpr std::uint8_t kUcubeId = 0;
-constexpr std::uint8_t kMaxportId = 1;
-constexpr std::uint8_t kCombineId = 2;
-constexpr std::uint8_t kWsortId = 3;
-
-/// Per-thread serving scratch: the canonical key, the relative chain
-/// reconstruction buffer, the tree builder and the wsort permutation
-/// scratch. One instance per thread serves every pipeline (builders are
-/// stateless between builds), which is what keeps a threaded batch at
-/// the zero-allocation steady state.
+/// Per-thread serving scratch: the tree builder and the wsort
+/// permutation scratch of relative builds, and the stage sampler. One
+/// instance per thread serves every pipeline (builders are stateless
+/// between builds), which is what keeps a threaded batch at the
+/// zero-allocation steady state.
 struct ServeTls {
-  core::CacheKey key;
-  std::vector<core::NodeId> chain;
   core::TreeBuilder builder;
   core::WeightedSortScratch wsort_scratch;
   unsigned sample_tick = 0;  ///< stage-timing sampler (see kSampleMask)
@@ -56,11 +47,7 @@ struct ServeMetrics {
   obs::Counter* requests;
   obs::Counter* batches;
   obs::Counter* deadline_shed;
-  obs::Histogram* serve_ns;
-  obs::Histogram* canonicalize_ns;
-  obs::Histogram* hit_ns;
-  obs::Histogram* build_ns;
-  obs::Histogram* translate_ns;
+  ScheduleCache::WalkTimers stages;
 };
 
 const ServeMetrics& serve_metrics() {
@@ -69,48 +56,62 @@ const ServeMetrics& serve_metrics() {
     return ServeMetrics{&r.counter("serve.requests"),
                         &r.counter("serve.batches"),
                         &r.counter("serve.deadline_shed"),
-                        &r.histogram("serve.serve_ns"),
-                        &r.histogram("serve.canonicalize_ns"),
-                        &r.histogram("serve.hit_ns"),
-                        &r.histogram("serve.build_ns"),
-                        &r.histogram("serve.translate_ns")};
+                        {&r.histogram("serve.canonicalize_ns"),
+                         &r.histogram("serve.hit_ns"),
+                         &r.histogram("serve.build_ns"),
+                         &r.histogram("serve.translate_ns"),
+                         &r.histogram("serve.serve_ns"), "serve.build",
+                         "serve.translate"}};
   }();
   return m;
 }
 
 }  // namespace
 
+struct ServePipeline::Translated {
+  std::string_view name;
+  std::uint8_t algo;  ///< cache_algo id
+  core::NextRule rule;
+  bool wsort;  ///< weighted_sort the chain before running `rule`
+};
+
 ServePipeline::ServePipeline(std::string algorithm,
                              std::shared_ptr<ScheduleCache> cache)
-    : algorithm_(std::move(algorithm)), cache_(std::move(cache)) {
-  if (algorithm_ == "ucube") {
-    kind_ = Kind::Chain;
-    rule_ = core::NextRule::Center;
-    algo_id_ = kUcubeId;
-  } else if (algorithm_ == "maxport") {
-    kind_ = Kind::Chain;
-    rule_ = core::NextRule::HighDim;
-    algo_id_ = kMaxportId;
-  } else if (algorithm_ == "combine") {
-    kind_ = Kind::Chain;
-    rule_ = core::NextRule::MaxOfBoth;
-    algo_id_ = kCombineId;
-  } else if (algorithm_ == "wsort") {
-    kind_ = Kind::Wsort;
-    algo_id_ = kWsortId;
-  } else {
-    // Resolves (and validates) the name against the registry once;
-    // throws the self-diagnosing invalid_argument for typos.
-    kind_ = Kind::Entry;
-    entry_ = core::find_algorithm(algorithm_);
+    : algorithm_(std::move(algorithm)),
+      // Resolves (and validates) the name against the registry once;
+      // throws the self-diagnosing invalid_argument for typos.
+      entry_(core::find_algorithm(algorithm_)),
+      cache_(std::move(cache)) {
+  static constexpr Translated kTranslated[] = {
+      {"ucube", cache_algo::kUcube, core::NextRule::Center, false},
+      {"maxport", cache_algo::kMaxport, core::NextRule::HighDim, false},
+      {"combine", cache_algo::kCombine, core::NextRule::MaxOfBoth, false},
+      {"wsort", cache_algo::kWsort, core::NextRule::HighDim, true},
+  };
+  for (const Translated& t : kTranslated) {
+    if (t.name == algorithm_) translated_ = &t;
   }
 }
 
 std::shared_ptr<const core::MulticastSchedule> ServePipeline::serve(
     const core::MulticastRequest& request) const {
   HYPERCAST_OBS_SPAN("serve");
-  if (cache_ == nullptr || kind_ == Kind::Entry) return build_direct(request);
-  return serve_relative(request);
+  const bool stats = obs::stats_enabled();
+  if (stats) serve_metrics().requests->inc();
+  if (!translates()) return build_direct(request, stats);
+  const bool sampled =
+      stats && (serve_tls().sample_tick++ & kSampleMask) == 0;
+  const Translated& algo = *translated_;
+  return cache_->get_translated(
+      request, algo.algo,
+      [&algo](std::vector<core::NodeId>& chain, core::MulticastSchedule& out) {
+        ServeTls& tls = serve_tls();
+        if (algo.wsort) {
+          core::weighted_sort(out.topo(), chain, tls.wsort_scratch);
+        }
+        tls.builder.build_chain_into(out.topo(), chain, algo.rule, out);
+      },
+      stats ? &serve_metrics().stages : nullptr, sampled);
 }
 
 std::shared_ptr<const core::MulticastSchedule> ServePipeline::serve(
@@ -129,143 +130,27 @@ std::shared_ptr<const core::MulticastSchedule> ServePipeline::repaired(
   // the absolute key of this pipeline's algorithm, scoped to the exact
   // fault set. Registry entries stay pass-through (their trees may
   // depend on destination order), so their repairs do too.
-  const bool cacheable = cache_ != nullptr && kind_ != Kind::Entry;
-  ServeTls& tls = serve_tls();
-  if (cacheable) {
-    const std::uint64_t seed = cache_->config().hash_seed;
-    core::canonical_key_into(request.topo, request.source,
-                             request.destinations, algo_id_,
-                             /*absolute=*/true, seed, tls.key);
-    core::scope_to_faults(tls.key, faults.ids(), faults.fingerprint(seed));
-    if (auto hit = cache_->get(tls.key)) return hit;
+  const core::CacheKey* key = nullptr;
+  if (translates()) {
+    key = &cache_->fault_key(request, translated_->algo, faults.ids(),
+                             faults.fingerprint(cache_->config().hash_seed));
+    if (auto hit = cache_->get(*key)) return hit;
   }
   auto built = std::make_shared<core::MulticastSchedule>(
       std::move(fault::repair(base, request.destinations, faults)->schedule));
   built->finalize();
-  if (cacheable) cache_->put(tls.key, built);
+  if (key != nullptr) cache_->put(*key, built);
   return built;
 }
 
-std::shared_ptr<const core::MulticastSchedule> ServePipeline::serve_relative(
-    const core::MulticastRequest& request) const {
-  ServeTls& tls = serve_tls();
-  const core::NodeId mask = request.source;
-  const bool stats = obs::stats_enabled();
-  bool sampled = false;
-  std::uint64_t t_start = 0;
-  if (stats) {
-    serve_metrics().requests->inc();
-    sampled = (tls.sample_tick++ & kSampleMask) == 0;
-    if (sampled) t_start = obs::now_ns();
-  }
-  // One canonicalization pass yields both identities: the absolute one
-  // (this exact translation, zero-copy on repeat) and — via a cheap
-  // rekey() of the header — the relative one (shared by every
-  // translation of the chain).
-  core::canonical_key_into(request.topo, request.source, request.destinations,
-                           algo_id_, /*absolute=*/mask != 0,
-                           cache_->config().hash_seed, tls.key);
-  std::uint64_t t_probe = 0;
-  if (sampled) {
-    t_probe = obs::now_ns();
-    serve_metrics().canonicalize_ns->record(t_probe - t_start);
-  }
-  if (mask != 0) {
-    if (auto hit = cache_->get(tls.key)) {
-      if (sampled) {
-        const std::uint64_t t_end = obs::now_ns();
-        serve_metrics().hit_ns->record(t_end - t_probe);
-        serve_metrics().serve_ns->record(t_end - t_start);
-      }
-      return hit;
-    }
-    core::rekey(tls.key, /*absolute=*/false, 0);
-  }
-  auto rel = cache_->get(tls.key);
-  if (rel == nullptr) {
-    HYPERCAST_OBS_SPAN("serve.build");
-    const std::uint64_t t_build = stats ? obs::now_ns() : 0;
-    auto built = build_relative(request.topo, tls.key);
-    cache_->put(tls.key, built);
-    if (stats) serve_metrics().build_ns->record(obs::now_ns() - t_build);
-    rel = std::move(built);
-  } else if (sampled && mask == 0) {
-    serve_metrics().hit_ns->record(obs::now_ns() - t_probe);
-  }
-  if (mask == 0) {
-    if (sampled) serve_metrics().serve_ns->record(obs::now_ns() - t_start);
-    return rel;  // zero-copy: the relative origin
-  }
-  HYPERCAST_OBS_SPAN("serve.translate");
-  const std::uint64_t t_translate = stats ? obs::now_ns() : 0;
-  auto out = std::make_shared<core::MulticastSchedule>(request.topo,
-                                                       request.source);
-  out->assign_translated(*rel, mask);
-  out->finalize();
-  // Publish the materialized translation under its absolute identity so
-  // the next identical request shares it without copying.
-  core::rekey(tls.key, /*absolute=*/true, mask);
-  cache_->put(tls.key, out);
-  if (stats) {
-    const std::uint64_t t_end = obs::now_ns();
-    serve_metrics().translate_ns->record(t_end - t_translate);
-    if (sampled) serve_metrics().serve_ns->record(t_end - t_start);
-  }
-  return out;
-}
-
-std::shared_ptr<core::MulticastSchedule> ServePipeline::build_relative(
-    const core::Topology& topo, const core::CacheKey& key) const {
-  ServeTls& tls = serve_tls();
-  core::relative_chain_from_key(topo, key, tls.chain);
-  auto out = std::make_shared<core::MulticastSchedule>(topo, 0);
-  core::NextRule rule = rule_;
-  if (kind_ == Kind::Wsort) {
-    core::weighted_sort(topo, tls.chain, tls.wsort_scratch);
-    rule = core::NextRule::HighDim;
-  }
-  tls.builder.build_chain_into(topo, tls.chain, rule, *out);
-  out->finalize();
-  return out;
-}
-
 std::shared_ptr<const core::MulticastSchedule> ServePipeline::build_direct(
-    const core::MulticastRequest& request) const {
-  ServeTls& tls = serve_tls();
-  const bool stats = obs::stats_enabled();
-  std::uint64_t t_build = 0;
-  if (stats) {
-    serve_metrics().requests->inc();
-    // Direct builds are the uncached slow path (several microseconds):
-    // timing every one costs well under a percent, no sampling needed.
-    t_build = obs::now_ns();
-  }
-  const auto record_build = [&](std::uint64_t t0) {
-    if (stats) serve_metrics().build_ns->record(obs::now_ns() - t0);
-  };
-  switch (kind_) {
-    case Kind::Chain: {
-      auto out = std::make_shared<core::MulticastSchedule>(request.topo,
-                                                           request.source);
-      tls.builder.build_into(request, rule_, *out);
-      out->finalize();
-      record_build(t_build);
-      return out;
-    }
-    case Kind::Wsort: {
-      auto out = std::make_shared<core::MulticastSchedule>(request.topo,
-                                                           request.source);
-      tls.builder.build_wsort_into(request, *out);
-      out->finalize();
-      record_build(t_build);
-      return out;
-    }
-    case Kind::Entry:
-      break;
-  }
+    const core::MulticastRequest& request, bool stats) const {
+  // Direct builds are the uncached slow path (several microseconds):
+  // timing every one costs well under a percent, no sampling needed.
+  const std::uint64_t t_build = stats ? obs::now_ns() : 0;
   auto out = std::make_shared<core::MulticastSchedule>(entry_.build(request));
   out->finalize();
-  record_build(t_build);
+  if (stats) serve_metrics().stages.build_ns->record(obs::now_ns() - t_build);
   return out;
 }
 
@@ -309,7 +194,6 @@ ServePipeline::serve_batch(std::span<const core::MulticastRequest> requests,
   // Owner of request i: with a cache, its key's shard (so no two workers
   // ever touch the same stripe — hits resolve without lock contention);
   // without one, a contiguous chunk.
-  const bool shard_partition = cache_ != nullptr && kind_ != Kind::Entry;
   std::vector<std::uint32_t> owner(n, 0);
   std::mutex error_mu;
   std::exception_ptr error;
@@ -332,24 +216,15 @@ ServePipeline::serve_batch(std::span<const core::MulticastRequest> requests,
     if (error) std::rethrow_exception(error);
   };
 
-  if (shard_partition) {
-    // Phase 1: canonicalize in parallel chunks to discover each
-    // request's shard (the keys are recomputed thread-locally during
-    // serving; what matters here is only the partition).
+  if (translates()) {
+    // Phase 1: canonicalize in parallel chunks to discover the shard
+    // each request's walk probes (and inserts) first. The fallback probe
+    // of a cold relative entry may touch a foreign stripe, but that is a
+    // once-per-chain event, not the steady state.
     parallel_over([&](std::size_t w) {
-      core::CacheKey key;
       for (std::size_t i = w; i < n; i += workers) {
-        // Partition by the identity serve() probes (and inserts) first:
-        // the absolute one for translated requests, the relative one at
-        // the relative origin. The fallback probe of a cold relative
-        // entry may touch a foreign stripe, but that is a once-per-chain
-        // event, not the steady state.
-        const bool absolute = requests[i].source != 0;
-        core::canonical_key_into(requests[i].topo, requests[i].source,
-                                 requests[i].destinations, algo_id_, absolute,
-                                 cache_->config().hash_seed, key);
-        owner[i] = static_cast<std::uint32_t>(cache_->shard_of(key) %
-                                              workers);
+        owner[i] = static_cast<std::uint32_t>(
+            cache_->probe_shard(requests[i], translated_->algo) % workers);
       }
     });
   } else {

@@ -9,7 +9,6 @@
 #include "coll/coscheduler.hpp"
 #include "coll/schedule_cache.hpp"
 #include "coll/striped.hpp"
-#include "core/chain_algorithms.hpp"
 #include "core/registry.hpp"
 #include "fault/fault_set.hpp"
 
@@ -22,13 +21,14 @@ namespace hypercast::coll {
 /// Serving strategy by algorithm:
 ///  * ucube / maxport / combine / wsort — translation-invariant (the
 ///    property tests prove build(u, D) is the XOR-relabeling of
-///    build(0, u ^ D)), so the pipeline caches at two levels sharing one
-///    canonicalization pass: the *relative* schedule under the canonical
-///    relative chain (paying tree construction once per chain shape),
-///    and each *materialized translation* under its absolute identity
-///    (paying the XOR relabeling copy once per (source, shape) pair).
-///    In steady state a hit is zero-copy: key canonicalization plus a
-///    shared_ptr share, never a construction and never a copy.
+///    build(0, u ^ D)), so the pipeline serves them through
+///    ScheduleCache::get_translated: the *relative* schedule is cached
+///    under the canonical relative chain (tree construction once per
+///    chain shape) and each *materialized translation* under its
+///    absolute identity (the XOR relabeling copy once per (source,
+///    shape) pair). In steady state a hit is zero-copy: key
+///    canonicalization plus a shared_ptr share, never a construction
+///    and never a copy.
 ///  * anything else (separate, sftree, other registered entries) — the
 ///    output may depend on caller-supplied destination *order*, which
 ///    canonicalization erases, so these are served pass-through
@@ -39,10 +39,10 @@ namespace hypercast::coll {
 /// cached repair is keyed by that set's exact content, so a new fault
 /// set is a new key and nothing is ever invalidated.
 ///
-/// Misses build through a thread-local core::TreeBuilder, so a pipeline
-/// shared by many worker threads reaches the same zero-allocation steady
-/// state as PR 3's sweeps while staying bit-identical to uncached
-/// construction at any thread count.
+/// Relative trees build through a thread-local core::TreeBuilder, so a
+/// pipeline shared by many worker threads reaches a zero-allocation
+/// steady state while staying bit-identical to uncached construction at
+/// any thread count; uncached requests build through the registry entry.
 class ServePipeline {
  public:
   /// `cache` may be nullptr: the pipeline then serves every request by
@@ -142,16 +142,18 @@ class ServePipeline {
       const BatchPolicy& policy, const CoschedPolicy& cosched) const;
 
  private:
-  enum class Kind {
-    Chain,   ///< ucube / maxport / combine: TreeBuilder + NextRule
-    Wsort,   ///< weighted_sort permutation + HighDim rule
-    Entry,   ///< registry entry, served pass-through
-  };
+  /// The cache id and relative build of a translation-invariant
+  /// algorithm (serve_pipeline.cpp holds the four).
+  struct Translated;
 
-  std::shared_ptr<const core::MulticastSchedule> serve_relative(
-      const core::MulticastRequest& request) const;
+  /// Whether serve() goes through the cache (a cache is attached and the
+  /// algorithm is translation-invariant).
+  bool translates() const {
+    return cache_ != nullptr && translated_ != nullptr;
+  }
+
   std::shared_ptr<const core::MulticastSchedule> build_direct(
-      const core::MulticastRequest& request) const;
+      const core::MulticastRequest& request, bool stats) const;
 
   /// The repair of `base` (this pipeline's tree for `request`) against
   /// `faults`, through the cache when the algorithm is cacheable.
@@ -165,18 +167,12 @@ class ServePipeline {
                       std::size_t payload_bytes, const StripeOptions& options,
                       const fault::FaultSet* faults) const;
 
-  /// Build the relative schedule a canonical key denotes (source 0,
-  /// destinations reconstructed from the key words), finalized.
-  std::shared_ptr<core::MulticastSchedule> build_relative(
-      const core::Topology& topo, const core::CacheKey& key) const;
-
   std::string algorithm_;
-  Kind kind_ = Kind::Entry;
-  core::NextRule rule_ = core::NextRule::Center;
-  /// Kind::Entry only: a copy of find_algorithm(algorithm_), resolved
-  /// once at construction.
+  /// find_algorithm(algorithm_), resolved (and validated) once at
+  /// construction: every uncached build runs it.
   core::AlgorithmEntry entry_;
-  std::uint8_t algo_id_ = 0;
+  /// nullptr unless the algorithm is translation-invariant.
+  const Translated* translated_ = nullptr;
   std::shared_ptr<ScheduleCache> cache_;
 };
 

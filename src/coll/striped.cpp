@@ -11,37 +11,6 @@ namespace hypercast::coll {
 
 namespace {
 
-/// Per-tree cache algorithm ids. The serving pipeline hands ids 0..3 to
-/// the paper algorithms and grows registry-entry ids upward from 4; the
-/// IST trees claim a block at the top of the 8-bit space instead
-/// (kIstAlgoBase + tree, tree < dim <= hcube::kMaxDim = 20), so the two
-/// assignment schemes cannot collide until ~220 distinct registered
-/// names exist — far beyond anything the registry holds. Degraded-mode
-/// repaired trees take a second block below it: they are absolute,
-/// fault-dependent entries scoped to their fault set + parity config.
-constexpr std::uint8_t kIstAlgoBase = 224;
-constexpr std::uint8_t kIstRepairAlgoBase = 192;
-
-std::uint8_t ist_algo_id(hcube::Dim tree) {
-  return static_cast<std::uint8_t>(kIstAlgoBase + tree);
-}
-
-std::uint8_t ist_repair_algo_id(hcube::Dim tree) {
-  return static_cast<std::uint8_t>(kIstRepairAlgoBase + tree);
-}
-
-/// Per-thread scratch mirroring the serving pipeline's: one canonical
-/// key and one chain-reconstruction buffer recycled across plans.
-struct StripedTls {
-  core::CacheKey key;
-  std::vector<core::NodeId> chain;
-};
-
-StripedTls& striped_tls() {
-  thread_local StripedTls tls;
-  return tls;
-}
-
 std::shared_ptr<core::MulticastSchedule> finalized(
     core::MulticastSchedule&& schedule) {
   auto out = std::make_shared<core::MulticastSchedule>(std::move(schedule));
@@ -178,7 +147,7 @@ std::size_t StripedPlanner::effective_parity(hcube::Dim dim) const {
   return std::min(options_.parity_stripes, static_cast<std::size_t>(dim) - 1);
 }
 
-bool StripedPlanner::should_verify(hcube::Dim dim) const {
+bool StripedPlanner::should_verify([[maybe_unused]] hcube::Dim dim) const {
   switch (options_.verify) {
     case StripeOptions::Verify::kOn:
       return true;
@@ -200,48 +169,14 @@ std::shared_ptr<const core::MulticastSchedule> StripedPlanner::serve_tree(
     return finalized(core::build_ist_tree(request.topo, tree, request.source,
                                           request.destinations));
   }
-  // The serving pipeline's two-level scheme, one instance per tree: the
-  // relative IST tree caches under the canonical relative chain (built
-  // once per chain shape, shared by every source), and each materialized
-  // translation under its absolute identity (a pure copy).
-  StripedTls& tls = striped_tls();
-  const core::NodeId mask = request.source;
-  core::canonical_key_into(request.topo, request.source, request.destinations,
-                           ist_algo_id(tree), /*absolute=*/mask != 0,
-                           cache_->config().hash_seed, tls.key);
-  if (mask != 0) {
-    if (auto hit = cache_->get(tls.key)) return hit;
-    core::rekey(tls.key, /*absolute=*/false, 0);
-  }
-  auto rel = cache_->get(tls.key);
-  if (rel == nullptr) {
-    core::relative_chain_from_key(request.topo, tls.key, tls.chain);
-    auto built = finalized(core::build_ist_tree0(
-        request.topo, tree,
-        std::span<const core::NodeId>(tls.chain.data() + 1,
-                                      tls.chain.size() - 1)));
-    cache_->put(tls.key, built);
-    rel = std::move(built);
-  }
-  if (mask == 0) return rel;
-  auto out = std::make_shared<core::MulticastSchedule>(request.topo,
-                                                       request.source);
-  out->assign_translated(*rel, mask);
-  out->finalize();
-  core::rekey(tls.key, /*absolute=*/true, mask);
-  cache_->put(tls.key, out);
-  return out;
-}
-
-const core::CacheKey& StripedPlanner::repair_key(
-    const core::MulticastRequest& request, hcube::Dim tree,
-    const fault::FaultSet& faults, std::uint64_t salt) const {
-  StripedTls& tls = striped_tls();
-  core::canonical_key_into(request.topo, request.source, request.destinations,
-                           ist_repair_algo_id(tree), /*absolute=*/true,
-                           cache_->config().hash_seed, tls.key);
-  core::scope_to_faults(tls.key, faults.ids(), salt);
-  return tls.key;
+  // The relative IST tree caches once per chain shape, shared by every
+  // source; each source's translation caches under its absolute key.
+  return cache_->get_translated(
+      request, cache_algo::ist(tree),
+      [tree](std::vector<core::NodeId>& chain, core::MulticastSchedule& out) {
+        out = core::build_ist_tree0(
+            out.topo(), tree, std::span<const core::NodeId>(chain).subspan(1));
+      });
 }
 
 StripedPlan StripedPlanner::plan(const core::MulticastRequest& request,
@@ -339,7 +274,9 @@ StripedPlan StripedPlanner::plan(const core::MulticastRequest& request,
       const auto tree = static_cast<std::size_t>(t);
       // Thread-local scratch; nothing below re-keys it before the put.
       const core::CacheKey* key =
-          cache_ ? &repair_key(request, t, faults, salt) : nullptr;
+          cache_ ? &cache_->fault_key(request, cache_algo::ist_repair(t),
+                                      faults.ids(), salt)
+                 : nullptr;
       auto hit = key ? cache_->get(*key) : nullptr;
       if (hit != nullptr) {
         // Only certified disjoint repairs are ever cached, so a hit

@@ -126,13 +126,14 @@ std::vector<std::uint8_t> reassemble_stripes(
     std::span<const std::size_t> missing = {});
 
 /// Plans striped collectives, consulting a ScheduleCache when attached:
-/// each tree caches as a *relative* schedule under its own per-tree
-/// algorithm id (IST construction is translation-invariant, so one
-/// cached tree serves every source via XOR materialization, exactly
-/// like the serving pipeline's chain algorithms). Degraded-mode
-/// repaired trees cache under *absolute* keys that carry the exact
-/// fault set, salted with its fingerprint + the parity config and drop
-/// decisions, so each fault set has entries of its own.
+/// each tree is served by ScheduleCache::get_translated under its own
+/// per-tree algorithm id (cache_algo::ist; IST construction is
+/// translation-invariant, so one cached relative tree serves every
+/// source via XOR materialization, exactly like the serving pipeline's
+/// chain algorithms). Degraded-mode repaired trees cache under
+/// ScheduleCache::fault_key (cache_algo::ist_repair), salted with the
+/// fault set's fingerprint + the parity config and drop decisions, so
+/// each fault set has entries of its own.
 class StripedPlanner {
  public:
   explicit StripedPlanner(StripeOptions options = {},
@@ -165,12 +166,6 @@ class StripedPlanner {
  private:
   std::shared_ptr<const core::MulticastSchedule> serve_tree(
       const core::MulticastRequest& request, hcube::Dim tree) const;
-
-  /// The cache key of tree `tree`'s repair (thread-local scratch).
-  const core::CacheKey& repair_key(const core::MulticastRequest& request,
-                                   hcube::Dim tree,
-                                   const fault::FaultSet& faults,
-                                   std::uint64_t salt) const;
 
   bool should_verify(hcube::Dim dim) const;
 

@@ -15,27 +15,17 @@ void TreeBuilder::prepare_chain(const MulticastRequest& req) {
 MulticastSchedule TreeBuilder::build(const MulticastRequest& req,
                                      NextRule rule) {
   MulticastSchedule out(req.topo, req.source);
-  build_into(req, rule, out);
-  return out;
-}
-
-void TreeBuilder::build_into(const MulticastRequest& req, NextRule rule,
-                             MulticastSchedule& out) {
   prepare_chain(req);
   build_chain_into(req.topo, chain_, rule, out);
+  return out;
 }
 
 MulticastSchedule TreeBuilder::build_wsort(const MulticastRequest& req) {
   MulticastSchedule out(req.topo, req.source);
-  build_wsort_into(req, out);
-  return out;
-}
-
-void TreeBuilder::build_wsort_into(const MulticastRequest& req,
-                                   MulticastSchedule& out) {
   prepare_chain(req);
   weighted_sort(req.topo, chain_, wsort_scratch_);
   build_chain_into(req.topo, chain_, NextRule::HighDim, out);
+  return out;
 }
 
 void TreeBuilder::build_chain_into(const Topology& topo,

@@ -35,17 +35,14 @@ class TreeBuilder {
   /// chain and run `rule` over it (ucube/maxport/combine, depending on
   /// the rule). Validates the request.
   MulticastSchedule build(const MulticastRequest& req, NextRule rule);
-  void build_into(const MulticastRequest& req, NextRule rule,
-                  MulticastSchedule& out);
 
   /// W-sort: dimension-ordered chain, weighted_sort permutation, then
   /// the HighDim rule.
   MulticastSchedule build_wsort(const MulticastRequest& req);
-  void build_wsort_into(const MulticastRequest& req, MulticastSchedule& out);
 
   /// Run `rule` over an explicit cube-ordered chain (position 0 is the
   /// source). `chain` may alias this builder's internal chain buffer
-  /// (the *_into entry points above rely on that).
+  /// (build and build_wsort above rely on that).
   void build_chain_into(const Topology& topo, std::span<const NodeId> chain,
                         NextRule rule, MulticastSchedule& out);
 

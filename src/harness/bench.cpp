@@ -175,16 +175,7 @@ bool matches(const Benchmark& benchmark, const std::string& filter) {
 RunOptions parse_run_options(const harness::Options& options) {
   static constexpr std::string_view kKnown[] = {
       "list", "filter", "repeat", "threads", "quick", "seed", "out", "stats"};
-  for (const std::string& key : options.keys()) {
-    if (std::find(std::begin(kKnown), std::end(kKnown), key) !=
-        std::end(kKnown)) {
-      continue;
-    }
-    std::string known;
-    for (const std::string_view k : kKnown) known += " --" + std::string(k);
-    throw std::invalid_argument("unknown flag --" + key + " (known:" + known +
-                                ")");
-  }
+  options.reject_unknown(kKnown);
   RunOptions run;
   run.filter = options.get_or("filter", "");
   run.repeat = static_cast<int>(options.get_int_or("repeat", 1));

@@ -1,5 +1,6 @@
 #include "harness/options.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "fault/fault_inject.hpp"
@@ -243,6 +244,18 @@ std::vector<std::string> Options::keys() const {
   out.reserve(values_.size());
   for (const auto& [k, v] : values_) out.push_back(k);
   return out;
+}
+
+void Options::reject_unknown(std::span<const std::string_view> known) const {
+  std::vector<std::string> given = keys();
+  std::sort(given.begin(), given.end());
+  for (const std::string& key : given) {
+    if (std::find(known.begin(), known.end(), key) != known.end()) continue;
+    std::string list;
+    for (const std::string_view k : known) list += " --" + std::string(k);
+    throw std::invalid_argument("unknown flag --" + key + " (known:" + list +
+                                ")");
+  }
 }
 
 }  // namespace hypercast::harness

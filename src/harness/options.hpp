@@ -2,7 +2,9 @@
 #define HYPERCAST_HARNESS_OPTIONS_HPP
 
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -93,9 +95,14 @@ class Options {
   /// values other than on/off/true/false/1/0.
   CacheOptions cache(bool default_enabled = false) const;
 
-  /// Every key given, in no particular order; a tool checks them against
-  /// its known set to reject typos (bench::parse_run_options does).
+  /// Every key given, in no particular order.
   std::vector<std::string> keys() const;
+
+  /// Reject typos: throws std::invalid_argument naming the first given
+  /// key (in sorted order) that is not in `known`, and listing the known
+  /// flags — "unknown flag --x (known: --a --b)". Tools with a fixed
+  /// flag set call this right after parse().
+  void reject_unknown(std::span<const std::string_view> known) const;
 
  private:
   struct Entry {

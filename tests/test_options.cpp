@@ -158,6 +158,24 @@ TEST(Options, PortParsing) {
   EXPECT_THROW(parse({"--port", "none"}).port(), std::invalid_argument);
 }
 
+TEST(Options, RejectUnknownNamesTheFlagAndListsTheKnownOnes) {
+  static constexpr std::string_view kKnown[] = {"port", "quiet"};
+  EXPECT_NO_THROW(parse({"--port", "4", "--quiet"}).reject_unknown(kKnown));
+  EXPECT_NO_THROW(parse({}).reject_unknown(kKnown));
+  const auto rejection = [](const Options& o) -> std::string {
+    try {
+      o.reject_unknown(kKnown);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  EXPECT_EQ(rejection(parse({"--help"})),
+            "unknown flag --help (known: --port --quiet)");
+  EXPECT_EQ(rejection(parse({"--port", "4", "--cosched-overlp=4"})),
+            "unknown flag --cosched-overlp (known: --port --quiet)");
+}
+
 TEST(Options, KeysListsEverything) {
   const auto o = parse({"--a", "1", "--b", "2"});
   auto keys = o.keys();

@@ -162,6 +162,31 @@ TEST(ScheduleCache, EvictsLeastRecentlyUsedUnderByteBudget) {
   EXPECT_EQ(stats.evictions, 5u);
 }
 
+// An entry is charged for the key the cache stores, not the caller's:
+// a recycled scratch key keeps the capacity of the largest request it
+// ever held, and charging that capacity would shrink the effective byte
+// budget by whatever the calling thread once served.
+TEST(ScheduleCache, ChargesTheStoredKeyNotTheCallersScratch) {
+  const Topology topo(8, Resolution::HighToLow);
+  core::MulticastRequest big{topo, 0, {}};
+  for (NodeId u = 1; u < topo.num_nodes(); ++u) big.destinations.push_back(u);
+  const core::MulticastRequest small{topo, 0, {1, 2, 3}};
+
+  CacheKey scratch = key_of(big);
+  core::canonical_key_into(small.topo, small.source, small.destinations, 0,
+                           /*absolute=*/false, kSeed, scratch);
+  const CacheKey fresh = key_of(small);
+  ASSERT_TRUE(scratch == fresh);
+  ASSERT_GT(scratch.footprint_bytes(), fresh.footprint_bytes());
+
+  const auto schedule = build_wsort(small);
+  ScheduleCache via_scratch;
+  via_scratch.put(scratch, schedule);
+  ScheduleCache via_fresh;
+  via_fresh.put(fresh, schedule);
+  EXPECT_EQ(via_scratch.stats().bytes, via_fresh.stats().bytes);
+}
+
 CacheKey fault_key(const core::MulticastRequest& req,
                    const fault::FaultSet& faults, std::uint64_t salt) {
   CacheKey key = key_of(req, 7, /*absolute=*/true);
@@ -306,6 +331,70 @@ TEST(ServePipeline, BatchPropagatesExceptions) {
   auto cache = std::make_shared<ScheduleCache>();
   ServePipeline pipeline("wsort", cache);
   EXPECT_THROW(pipeline.serve_batch(batch, 2), std::invalid_argument);
+}
+
+// ---- translation-walk probe order ---------------------------------------
+
+/// Runs `serve` cold, twice more, then `serve_moved` (a new translation
+/// of the same shape), checking each step's per-level stats deltas. A
+/// translated request probes its absolute key, then the relative one;
+/// misses build the relative tree and publish the translation; repeats
+/// hit the absolute level (shared tier first, then the thread-local L1);
+/// a new translation misses only its absolute key. `walks` is how many
+/// cached trees one call serves (the expected deltas scale by it).
+template <typename Serve, typename ServeMoved>
+void expect_walk_deltas(const ScheduleCache& cache, std::uint64_t walks,
+                        Serve serve, ServeMoved serve_moved) {
+  struct Step {
+    const char* name;
+    std::uint64_t hits, l1_hits, misses, entries;
+  };
+  const auto check = [&](const Step& want, const auto& fn) {
+    const auto before = cache.stats();
+    fn();
+    const auto after = cache.stats();
+    EXPECT_EQ(after.hits - before.hits, want.hits * walks) << want.name;
+    EXPECT_EQ(after.l1_hits - before.l1_hits, want.l1_hits * walks)
+        << want.name;
+    EXPECT_EQ(after.misses - before.misses, want.misses * walks) << want.name;
+    EXPECT_EQ(after.entries - before.entries, want.entries * walks)
+        << want.name;
+  };
+  check({"cold: absolute + relative miss", 0, 0, 2, 2}, serve);
+  check({"repeat: shared-tier absolute hit", 1, 0, 0, 0}, serve);
+  check({"repeat: L1 absolute hit", 0, 1, 0, 0}, serve);
+  check({"new translation: absolute miss, relative hit", 1, 0, 1, 1},
+        serve_moved);
+}
+
+core::MulticastRequest translated_to(const core::MulticastRequest& req,
+                                     NodeId source) {
+  core::MulticastRequest out{req.topo, source, {}};
+  for (const NodeId d : req.destinations) {
+    out.destinations.push_back(d ^ req.source ^ source);
+  }
+  return out;
+}
+
+TEST(TranslationWalk, PipelineProbesAbsoluteThenRelative) {
+  const Topology topo(6, Resolution::HighToLow);
+  auto cache = std::make_shared<ScheduleCache>();
+  const ServePipeline pipeline("maxport", cache);
+  const core::MulticastRequest req{topo, 5, {1, 2, 3, 42, 17}};
+  const auto moved = translated_to(req, 9);
+  expect_walk_deltas(*cache, 1, [&] { pipeline.serve(req); },
+                     [&] { pipeline.serve(moved); });
+}
+
+TEST(TranslationWalk, IstTreesProbeAbsoluteThenRelative) {
+  const Topology topo(5, Resolution::HighToLow);
+  auto cache = std::make_shared<ScheduleCache>();
+  const coll::StripedPlanner planner({}, cache);
+  const core::MulticastRequest req{topo, 19, {1, 2, 3, 12, 30, 7}};
+  const auto moved = translated_to(req, 6);
+  // One walk per IST tree: a 5-cube plan serves five.
+  expect_walk_deltas(*cache, 5, [&] { planner.plan(req, 1 << 20); },
+                     [&] { planner.plan(moved, 1 << 20); });
 }
 
 // ---- concurrency hammer --------------------------------------------------

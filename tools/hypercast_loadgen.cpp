@@ -13,11 +13,13 @@
 // at R requests/s aggregate. --out writes BENCH_serve_net.json into DIR
 // so check_bench_regression.py --only serve_net can gate it. --quick
 // shrinks the run for CI smoke. Exit status: 0 on a clean run, 1 when
-// requests were lost or connections died, 2 on usage errors.
+// requests were lost or connections died, 2 on usage errors (an
+// unknown flag among them: the message lists the known ones).
 
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <string_view>
 
 #include "harness/options.hpp"
 #include "net/loadgen.hpp"
@@ -28,6 +30,10 @@ int main(int argc, char** argv) {
   using hypercast::net::LoadgenResult;
   try {
     const Options opts = Options::parse(argc, argv);
+    static constexpr std::string_view kKnown[] = {
+        "port", "host", "connections", "depth", "rate", "requests",
+        "duration", "seed", "dim", "dests", "mix", "out", "quick", "quiet"};
+    opts.reject_unknown(kKnown);
     const bool quick = opts.has("quick");
     const bool quiet = opts.has("quiet");
 

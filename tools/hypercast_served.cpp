@@ -22,7 +22,8 @@
 //
 // --port 0 (the default) binds an ephemeral port; the bound port is
 // printed on stdout and, with --port-file, written to PATH so scripts
-// can pick it up race-free.
+// can pick it up race-free. Any other flag (--help included) is a usage
+// error: exit 2 with the known flags listed.
 
 #include <atomic>
 #include <chrono>
@@ -30,6 +31,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <string_view>
 #include <thread>
 
 #include "harness/options.hpp"
@@ -52,6 +54,12 @@ int main(int argc, char** argv) {
   using hypercast::harness::Options;
   try {
     const Options opts = Options::parse(argc, argv);
+    static constexpr std::string_view kKnown[] = {
+        "port", "bind", "algo", "workers", "queue-cap", "batch-max",
+        "deadline-ms", "max-conns", "cache", "cache-shards", "cache-bytes",
+        "cosched", "cosched-overlap", "cosched-stagger-us",
+        "cosched-max-waves", "port-file", "quiet"};
+    opts.reject_unknown(kKnown);
 
     hypercast::net::ServerConfig config;
     config.bind_address = opts.get_or("bind", config.bind_address);
