@@ -60,7 +60,7 @@ CoschedPlan CoScheduler::plan(
     std::span<const core::MulticastSchedule* const> schedules) {
   const core::Topology* topo = nullptr;
   std::vector<std::size_t> order;  // candidate batch indices
-  footprints_.assign(schedules.size(), core::ArcFootprint{});
+  footprints_.assign(schedules.size(), nullptr);
   for (std::size_t i = 0; i < schedules.size(); ++i) {
     const core::MulticastSchedule* s = schedules[i];
     if (s == nullptr) continue;
@@ -70,7 +70,7 @@ CoschedPlan CoScheduler::plan(
       throw std::invalid_argument(
           "CoScheduler::plan: schedules span different topologies");
     }
-    footprints_[i] = core::arc_footprint(*topo, *s);
+    footprints_[i] = &s->footprint();
     order.push_back(i);
   }
   if (topo == nullptr) return CoschedPlan{};  // nothing to plan
@@ -80,9 +80,12 @@ CoschedPlan CoScheduler::plan(
 CoschedPlan CoScheduler::plan_footprints(
     const core::Topology& topo,
     std::span<const core::ArcFootprint> footprints) {
-  footprints_.assign(footprints.begin(), footprints.end());
+  footprints_.resize(footprints.size());
   std::vector<std::size_t> order(footprints.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    footprints_[i] = &footprints[i];
+    order[i] = i;
+  }
   if (order.empty()) return CoschedPlan{};
   return pack(topo, std::move(order));
 }
@@ -98,11 +101,15 @@ CoschedPlan CoScheduler::pack(const core::Topology& topo,
   // widest trees before the narrow ones is the classic first-fit-
   // decreasing move, and the deterministic order is what keeps the plan
   // identical at any serving thread count.
+  crossings_.assign(footprints_.size(), 0);
+  for (const std::size_t idx : order) {
+    crossings_[idx] = footprints_[idx]->total_crossings();
+  }
   std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t a, std::size_t b) {
-                     const std::size_t ca = footprints_[a].total_crossings();
-                     const std::size_t cb = footprints_[b].total_crossings();
-                     if (ca != cb) return ca > cb;
+                     if (crossings_[a] != crossings_[b]) {
+                       return crossings_[a] > crossings_[b];
+                     }
                      return a < b;
                    });
 
@@ -121,7 +128,7 @@ CoschedPlan CoScheduler::pack(const core::Topology& topo,
 
     for (std::size_t k = 0; k < remaining.size(); ++k) {
       const std::size_t idx = remaining[k];
-      const core::ArcFootprint& fp = footprints_[idx];
+      const core::ArcFootprint& fp = *footprints_[idx];
       const bool fits_bound = fp.self_max <= bound &&
                               wave_load_.peak_if_added(fp) <= bound;
       // Three ways in: it fits under the bound; the wave cap forces the

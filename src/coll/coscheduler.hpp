@@ -79,7 +79,9 @@ class CoScheduler {
 
   /// Plan a batch. Null schedules are skipped (they appear in no wave —
   /// the serving pipeline uses null slots for shed requests). All
-  /// non-null schedules must share one topology.
+  /// non-null schedules must share one topology and be finalized: each
+  /// tree is scored by its memoized MulticastSchedule::footprint(), so a
+  /// cached tree pays for its footprint once, not once per batch.
   ///
   /// Deterministic greedy-wave packing: candidates are ordered by
   /// total footprint crossings (heaviest first, original index breaking
@@ -117,8 +119,12 @@ class CoScheduler {
                    std::vector<std::size_t> candidates);
 
   CoschedPolicy policy_;
-  core::ChannelLoadMap wave_load_;              // scratch: current wave
-  std::vector<core::ArcFootprint> footprints_;  // scratch: per candidate
+  core::ChannelLoadMap wave_load_;  // scratch: current wave
+  // Scratch per batch index, valid for one call: the candidate's
+  // footprint (the schedule's memoized one, or the caller's) and its
+  // total crossings, the packing order's weight.
+  std::vector<const core::ArcFootprint*> footprints_;
+  std::vector<std::size_t> crossings_;
 };
 
 }  // namespace hypercast::coll

@@ -70,9 +70,10 @@ inline constexpr std::uint8_t ist_repair(hcube::Dim tree) {
 /// repeats zero-copy).
 ///
 /// Concurrency
-///  * The shared tier is striped: the key's hash selects a shard, each
-///    shard owns a mutex + hash map + LRU list. Writers (miss insert,
-///    eviction, clear) only contend within one shard.
+///  * The shared tier is striped: the key's chain identity selects a
+///    shard (shard_of), each shard owns a mutex + hash map + LRU list.
+///    Writers (miss insert, eviction, clear) only contend within one
+///    shard.
 ///  * The hot path is lock-free: each thread keeps a small direct-mapped
 ///    L1 of recently served entries, validated against the owning
 ///    shard's atomic generation tag (bumped by clear()). An L1 hit
@@ -149,8 +150,13 @@ class ScheduleCache {
 
   /// The shard a key maps to (exposed so batch servers can partition
   /// request groups shard-aligned and keep worker threads lock-disjoint).
+  /// It hashes only the chain identity (algorithm + canonical words), so
+  /// a chain's relative entry, every materialized translation and every
+  /// fault-scoped repair of it share one shard: one get_translated walk
+  /// touches a single shard.
   std::size_t shard_of(const core::CacheKey& key) const {
-    return (key.hash >> 40) & shard_mask_;
+    return (((key.words_hash + key.algo) * 0x9e3779b97f4a7c15ull) >> 40) &
+           shard_mask_;
   }
 
   /// Look the key up; nullptr on miss. The returned schedule is
@@ -197,9 +203,10 @@ class ScheduleCache {
       const RelativeBuilder& build, const WalkTimers* timers = nullptr,
       bool sampled = false);
 
-  /// The shard get_translated probes (and inserts) first for `request`:
-  /// its absolute key when translated, its relative key at source 0.
-  /// Batch servers partition on it to keep workers stripe-disjoint.
+  /// The one shard get_translated probes and inserts into for
+  /// `request`. Batch servers partition on it: a worker that owns a
+  /// shard is then its only reader and writer, so the shard's entries,
+  /// evictions and counters follow request order at any thread count.
   std::size_t probe_shard(const core::MulticastRequest& request,
                           std::uint8_t algo) const;
 

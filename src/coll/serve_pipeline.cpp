@@ -191,9 +191,10 @@ ServePipeline::serve_batch(std::span<const core::MulticastRequest> requests,
     return out;
   }
 
-  // Owner of request i: with a cache, its key's shard (so no two workers
-  // ever touch the same stripe — hits resolve without lock contention);
-  // without one, a contiguous chunk.
+  // Owner of request i: with a cache, the shard its walk reads and
+  // writes (so no two workers ever touch the same stripe, and each
+  // shard sees its requests in batch order: the cache stats come out
+  // the same on every run); without one, a contiguous chunk.
   std::vector<std::uint32_t> owner(n, 0);
   std::mutex error_mu;
   std::exception_ptr error;
@@ -218,9 +219,7 @@ ServePipeline::serve_batch(std::span<const core::MulticastRequest> requests,
 
   if (translates()) {
     // Phase 1: canonicalize in parallel chunks to discover the shard
-    // each request's walk probes (and inserts) first. The fallback probe
-    // of a cold relative entry may touch a foreign stripe, but that is a
-    // once-per-chain event, not the steady state.
+    // each request's walk probes and inserts into.
     parallel_over([&](std::size_t w) {
       for (std::size_t i = w; i < n; i += workers) {
         owner[i] = static_cast<std::uint32_t>(

@@ -37,11 +37,11 @@ std::vector<sim::CollectiveJob> StripedPlan::jobs(sim::SimTime start) const {
 }
 
 core::ArcFootprint StripedPlan::union_footprint() const {
-  std::vector<core::ArcFootprint> parts;
+  std::vector<const core::ArcFootprint*> parts;
   parts.reserve(active_trees());
   for (std::size_t t = 0; t < trees.size(); ++t) {
     if (dropped(t)) continue;
-    parts.push_back(core::arc_footprint(trees[t]->topo(), *trees[t]));
+    parts.push_back(&trees[t]->footprint());
   }
   return core::merge_footprints(parts);
 }

@@ -79,17 +79,17 @@ ArcFootprint arc_footprint(const Topology& topo,
   return fp;
 }
 
-ArcFootprint merge_footprints(std::span<const ArcFootprint> parts) {
+ArcFootprint merge_footprints(std::span<const ArcFootprint* const> parts) {
   ArcFootprint out;
-  if (parts.size() == 1) return parts.front();
+  if (parts.size() == 1) return *parts.front();
   // Each part's arc list is already sorted; concatenate and re-encode
   // (k-way merging buys nothing at co-scheduler batch sizes).
   std::vector<std::pair<std::uint32_t, std::uint32_t>> all;
   std::size_t total = 0;
-  for (const ArcFootprint& p : parts) total += p.arcs.size();
+  for (const ArcFootprint* p : parts) total += p->arcs.size();
   all.reserve(total);
-  for (const ArcFootprint& p : parts) {
-    all.insert(all.end(), p.arcs.begin(), p.arcs.end());
+  for (const ArcFootprint* p : parts) {
+    all.insert(all.end(), p->arcs.begin(), p->arcs.end());
   }
   std::sort(all.begin(), all.end());
   for (std::size_t i = 0; i < all.size();) {

@@ -57,6 +57,8 @@ struct ArcFootprint {
 
 /// Walk every unicast's E-cube route and collect the schedule's
 /// footprint. The schedule must belong to `topo` (same dimension).
+/// Served trees are shared and immutable: read their memoized
+/// MulticastSchedule::footprint(), which calls this once per tree.
 ArcFootprint arc_footprint(const Topology& topo,
                            const MulticastSchedule& schedule);
 
@@ -65,7 +67,7 @@ ArcFootprint arc_footprint(const Topology& topo,
 /// striped collective (n trees in flight at once) presents itself to
 /// the co-scheduler — one candidate whose footprint is the sum of its
 /// trees'. Arc-disjoint parts merge with self_max = max over parts.
-ArcFootprint merge_footprints(std::span<const ArcFootprint> parts);
+ArcFootprint merge_footprints(std::span<const ArcFootprint* const> parts);
 
 /// A reusable flat per-arc load accumulator — the dense counter array
 /// analyze_channel_load keeps internally, promoted to a shared data

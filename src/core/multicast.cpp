@@ -1,9 +1,12 @@
 #include "core/multicast.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_set>
+
+#include "core/channel_load.hpp"
 
 namespace hypercast::core {
 
@@ -37,12 +40,14 @@ void MulticastSchedule::reset(Topology topo, NodeId source) {
   pool_.clear();
   view_.clear();
   dirty_ = true;
+  footprint_.reset();
 }
 
 void MulticastSchedule::assign_translated(const MulticastSchedule& relative,
                                           NodeId mask) {
   topo_ = relative.topo_;
   source_ = relative.source_ ^ mask;
+  footprint_.reset();
   raw_.resize(relative.raw_.size());
   for (std::size_t i = 0; i < raw_.size(); ++i) {
     const RawSend& r = relative.raw_[i];
@@ -88,10 +93,47 @@ void MulticastSchedule::assign_translated(const MulticastSchedule& relative,
 }
 
 std::size_t MulticastSchedule::footprint_bytes() const {
-  return sizeof(MulticastSchedule) + raw_.capacity() * sizeof(RawSend) +
-         pool_.capacity() * sizeof(NodeId) + view_.capacity() * sizeof(Send) +
-         begin_.capacity() * sizeof(std::uint32_t) +
-         cursor_.capacity() * sizeof(std::uint32_t);
+  std::size_t bytes =
+      sizeof(MulticastSchedule) + raw_.capacity() * sizeof(RawSend) +
+      pool_.capacity() * sizeof(NodeId) + view_.capacity() * sizeof(Send) +
+      begin_.capacity() * sizeof(std::uint32_t) +
+      cursor_.capacity() * sizeof(std::uint32_t);
+  if (const ArcFootprint* fp = footprint_.get()) {
+    bytes += sizeof(ArcFootprint) +
+             fp->arcs.capacity() * sizeof(fp->arcs.front());
+  }
+  return bytes;
+}
+
+const ArcFootprint& MulticastSchedule::footprint() const {
+  if (const ArcFootprint* fp = footprint_.get()) return *fp;
+  return footprint_.publish(arc_footprint(topo_, *this));
+}
+
+MulticastSchedule::FootprintMemo& MulticastSchedule::FootprintMemo::operator=(
+    FootprintMemo&& other) noexcept {
+  if (this != &other) {
+    reset();
+    ptr_.store(other.ptr_.exchange(nullptr, std::memory_order_acq_rel),
+               std::memory_order_release);
+  }
+  return *this;
+}
+
+const ArcFootprint& MulticastSchedule::FootprintMemo::publish(
+    ArcFootprint&& fp) const {
+  auto owned = std::make_unique<const ArcFootprint>(std::move(fp));
+  const ArcFootprint* expected = nullptr;
+  if (ptr_.compare_exchange_strong(expected, owned.get(),
+                                   std::memory_order_acq_rel,
+                                   std::memory_order_acquire)) {
+    return *owned.release();
+  }
+  return *expected;  // another thread published first; ours is dropped
+}
+
+void MulticastSchedule::FootprintMemo::drop() noexcept {
+  delete ptr_.exchange(nullptr, std::memory_order_acq_rel);
 }
 
 bool operator==(const MulticastSchedule& a, const MulticastSchedule& b) {
@@ -141,6 +183,7 @@ void MulticastSchedule::add_send(NodeId from, NodeId to,
   }
   raw_.push_back(raw);
   dirty_ = true;
+  footprint_.reset();
 }
 
 void MulticastSchedule::finalize() const {

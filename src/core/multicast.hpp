@@ -1,6 +1,7 @@
 #ifndef HYPERCAST_CORE_MULTICAST_HPP
 #define HYPERCAST_CORE_MULTICAST_HPP
 
+#include <atomic>
 #include <cstdint>
 #include <initializer_list>
 #include <span>
@@ -17,6 +18,8 @@ using hcube::Dim;
 using hcube::NodeId;
 using hcube::Resolution;
 using hcube::Topology;
+
+struct ArcFootprint;  // core/channel_load.hpp
 
 /// A multicast to perform: deliver one message from `source` to every
 /// node in `destinations` (distinct, source excluded).
@@ -75,8 +78,9 @@ class MulticastSchedule {
       : topo_(std::move(topo)), source_(source) {}
 
   // Copies drop the cached view (it points into the source's pool) and
-  // lazily rebuild against their own storage; moves keep it (the heap
-  // buffers move wholesale, so the spans stay valid).
+  // the footprint, and rebuild both lazily against their own storage;
+  // moves keep them (the heap buffers move wholesale, so the spans stay
+  // valid).
   MulticastSchedule(const MulticastSchedule& other)
       : topo_(other.topo_), source_(other.source_), raw_(other.raw_),
         pool_(other.pool_) {}
@@ -88,6 +92,7 @@ class MulticastSchedule {
       pool_ = other.pool_;
       dirty_ = true;
       view_.clear();
+      footprint_.reset();
     }
     return *this;
   }
@@ -134,10 +139,27 @@ class MulticastSchedule {
     return {view_.data() + begin_[node], begin_[node + 1] - begin_[node]};
   }
 
+  /// Every send, grouped by sender in ascending node order: the
+  /// concatenation of sends_from(u) over all u, without the per-node
+  /// walk.
+  std::span<const Send> sends() const {
+    if (dirty_) finalize();
+    return view_;
+  }
+
   /// Build the grouped per-sender view now (idempotent). Called
   /// implicitly by every accessor; calling it explicitly makes the
   /// schedule safe for concurrent read-only use.
   void finalize() const;
+
+  /// The E-cube arc footprint of this schedule (core::arc_footprint),
+  /// computed on the first call and kept until the next mutation
+  /// (add_send, reset, assign_translated, copy-assignment). A finalized
+  /// schedule may be asked from several threads at once: the first
+  /// result published wins and every caller gets that same object, so
+  /// the reference stays valid until the schedule is mutated or
+  /// destroyed.
+  const ArcFootprint& footprint() const;
 
   /// Every node that receives the message (excludes the source), in
   /// breadth-first tree order. Deterministic.
@@ -172,7 +194,7 @@ class MulticastSchedule {
   std::string format_tree() const;
 
   /// Heap bytes the flat arrays pin (capacity, not size — what a cache
-  /// entry actually holds resident).
+  /// entry actually holds resident), plus the footprint once computed.
   std::size_t footprint_bytes() const;
 
   /// Structural equality: same topology, source, and identical append
@@ -203,6 +225,38 @@ class MulticastSchedule {
   mutable std::vector<Send> view_;
   mutable std::vector<std::uint32_t> begin_;    ///< num_nodes + 1 offsets
   mutable std::vector<std::uint32_t> cursor_;   ///< finalize scratch
+
+  /// Owner of the memoized footprint: published once by compare-and-
+  /// swap, so concurrent first callers agree on one object. Moves take
+  /// the pointer; the schedule's copy operations leave it empty.
+  class FootprintMemo {
+   public:
+    FootprintMemo() = default;
+    FootprintMemo(const FootprintMemo&) = delete;
+    FootprintMemo& operator=(const FootprintMemo&) = delete;
+    FootprintMemo(FootprintMemo&& other) noexcept
+        : ptr_(other.ptr_.exchange(nullptr, std::memory_order_acq_rel)) {}
+    FootprintMemo& operator=(FootprintMemo&& other) noexcept;
+    ~FootprintMemo() { reset(); }
+
+    const ArcFootprint* get() const {
+      return ptr_.load(std::memory_order_acquire);
+    }
+    /// Publish `fp` unless another thread got there first; returns the
+    /// published footprint either way.
+    const ArcFootprint& publish(ArcFootprint&& fp) const;
+    /// Drop the footprint. Mutators call it on every change, so the
+    /// common empty case is one plain load (mutation is single-threaded).
+    void reset() noexcept {
+      if (ptr_.load(std::memory_order_relaxed) != nullptr) drop();
+    }
+
+   private:
+    void drop() noexcept;
+
+    mutable std::atomic<const ArcFootprint*> ptr_{nullptr};
+  };
+  FootprintMemo footprint_;
 };
 
 }  // namespace hypercast::core

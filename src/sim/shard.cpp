@@ -44,6 +44,31 @@ class JobDsu {
 
 constexpr std::uint32_t kUnowned = static_cast<std::uint32_t>(-1);
 
+/// Per-thread owner tables of partition_collective_jobs, one slot per
+/// arc and per node, kept across calls. A slot is owned in the current
+/// call only when its epoch matches, so a new call starts from an empty
+/// table by bumping the epoch instead of refilling num_arcs + num_nodes
+/// slots.
+struct OwnerScratch {
+  struct Slot {
+    std::uint32_t epoch = 0;
+    std::uint32_t job = kUnowned;
+  };
+  std::vector<Slot> arcs;
+  std::vector<Slot> nodes;
+  std::uint32_t epoch = 0;
+
+  void begin(const hcube::Topology& topo) {
+    if (arcs.size() < topo.num_arcs()) arcs.resize(topo.num_arcs());
+    if (nodes.size() < topo.num_nodes()) nodes.resize(topo.num_nodes());
+    if (++epoch == 0) {  // wrapped: old stamps could match again
+      std::fill(arcs.begin(), arcs.end(), Slot{});
+      std::fill(nodes.begin(), nodes.end(), Slot{});
+      epoch = 1;
+    }
+  }
+};
+
 }  // namespace
 
 ShardPlan partition_collective_jobs(std::span<const CollectiveJob> jobs) {
@@ -54,28 +79,29 @@ ShardPlan partition_collective_jobs(std::span<const CollectiveJob> jobs) {
   JobDsu dsu(jobs.size());
   // First job to stamp an arc / node owns it; later jobs touching the
   // same resource union with the owner. One pass over all footprints.
-  std::vector<std::uint32_t> arc_owner(topo.num_arcs(), kUnowned);
-  std::vector<std::uint32_t> node_owner(topo.num_nodes(), kUnowned);
-  const auto claim = [&](std::vector<std::uint32_t>& owner, std::size_t index,
-                         std::size_t job) {
-    if (owner[index] == kUnowned) {
-      owner[index] = static_cast<std::uint32_t>(job);
+  thread_local OwnerScratch owners;
+  owners.begin(topo);
+  const std::uint32_t epoch = owners.epoch;
+  const auto claim = [&](OwnerScratch::Slot& slot, std::size_t job) {
+    if (slot.epoch != epoch) {
+      slot = OwnerScratch::Slot{epoch, static_cast<std::uint32_t>(job)};
     } else {
-      dsu.unite(job, owner[index]);
+      dsu.unite(job, slot.job);
     }
   };
 
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     const core::MulticastSchedule& s = *jobs[j].schedule;
     assert(s.topo() == topo && "all jobs must share one topology");
-    const core::ArcFootprint fp = core::arc_footprint(topo, s);
-    for (const auto& [arc, count] : fp.arcs) {
+    for (const auto& [arc, count] : s.footprint().arcs) {
       (void)count;
-      claim(arc_owner, arc, j);
+      claim(owners.arcs[arc], j);
     }
-    claim(node_owner, s.source(), j);
-    for (const hcube::NodeId n : s.recipients()) {
-      claim(node_owner, n, j);
+    // The participants: the source and every send's target (a tree
+    // reaches each recipient by exactly one send).
+    claim(owners.nodes[s.source()], j);
+    for (const core::Send& send : s.sends()) {
+      claim(owners.nodes[send.to], j);
     }
   }
 

@@ -34,9 +34,11 @@ struct ShardPlan {
 };
 
 /// Group jobs into independent shards (union-find over the conflict
-/// graph, with dense per-arc and per-node owner stamps: O(total
-/// footprint + topo size), no pairwise comparisons). All jobs must share
-/// one topology and have finalized schedules.
+/// graph, with per-arc and per-node owner stamps kept per thread across
+/// calls: O(total footprint), no pairwise comparisons). Each job's arcs
+/// are its schedule's memoized footprint(), its nodes the source plus
+/// every send's target. All jobs must share one topology and have
+/// finalized schedules.
 ShardPlan partition_collective_jobs(std::span<const CollectiveJob> jobs);
 
 /// Conservative parallel replay: partition `jobs`, simulate each shard

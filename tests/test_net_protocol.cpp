@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -146,6 +147,47 @@ TEST(NetProtocol, ScheduleEncodingIsDeterministic) {
 }
 
 // ---- HTTP ----------------------------------------------------------------
+
+TEST(NetProtocol, OkResponseBytesArePinned) {
+  // A hand-built 3-cube tree rooted at node 1, sends added out of sender
+  // order. The response groups them by sender in ascending node order,
+  // keeping each sender's issue order. Every multi-byte field is
+  // little-endian.
+  core::MulticastSchedule schedule(hcube::Topology(3), 1);
+  schedule.add_send(1, 5, {7, 4});
+  schedule.add_send(5, 7);
+  schedule.add_send(1, 3, {2});
+  schedule.add_send(3, 2);
+  schedule.add_send(5, 4);
+  schedule.add_send(1, 0);
+  schedule.validate();
+
+  std::string out;
+  encode_ok_response(0x0123456789abcdefull, schedule, out);
+  const std::vector<std::uint8_t> expected = {
+      102, 0, 0, 0,                    // frame: body length
+      2,                               // message type: schedule response
+      0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01,  // request id
+      0,                               // status Ok
+      1, 0, 0, 0,                      // source
+      3, 0, 0, 0,                      // senders
+      1, 0, 0, 0, 3, 0, 0, 0,          // sender 1, three sends
+      5, 0, 0, 0, 2, 0, 0, 0,          //   -> 5, payload of two
+      7, 0, 0, 0, 4, 0, 0, 0,          //      {7, 4}
+      3, 0, 0, 0, 1, 0, 0, 0,          //   -> 3, payload of one
+      2, 0, 0, 0,                      //      {2}
+      0, 0, 0, 0, 0, 0, 0, 0,          //   -> 0, empty payload
+      3, 0, 0, 0, 1, 0, 0, 0,          // sender 3, one send
+      2, 0, 0, 0, 0, 0, 0, 0,          //   -> 2
+      5, 0, 0, 0, 2, 0, 0, 0,          // sender 5, two sends
+      7, 0, 0, 0, 0, 0, 0, 0,          //   -> 7
+      4, 0, 0, 0, 0, 0, 0, 0,          //   -> 4
+  };
+  ASSERT_EQ(out.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(static_cast<std::uint8_t>(out[i]), expected[i]) << "byte " << i;
+  }
+}
 
 TEST(NetHttp, SniffsMethods) {
   EXPECT_TRUE(net::looks_like_http("GET /metrics HTTP/1.1\r\n"));

@@ -9,7 +9,9 @@
 
 #include <atomic>
 #include <memory>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "coll/schedule_cache.hpp"
 #include "coll/serve_pipeline.hpp"
@@ -319,6 +321,59 @@ TEST(ServePipeline, BatchMatchesSequentialAtAnyThreadCount) {
     for (std::size_t i = 0; i < batch.size(); ++i) {
       ASSERT_TRUE(*out[i] == *reference[i])
           << "threads=" << threads << " request " << i;
+    }
+  }
+}
+
+TEST(ServePipeline, ThreadedBatchStatsRepeatExactlyUnderEviction) {
+  // 400 translations of 16 shapes through a 192 KiB, 4-shard cache on 4
+  // threads: the cache evicts throughout, and each shard's entries,
+  // evictions and hit counts must still come out the same on every run.
+  const Topology topo(8, Resolution::HighToLow);
+  workload::Rng rng(0xDE7Eull);
+  std::vector<std::vector<NodeId>> shapes;
+  for (int s = 0; s < 16; ++s) {
+    shapes.push_back(workload::random_destinations(topo, 0, 32, rng));
+  }
+  std::vector<core::MulticastRequest> batch;
+  for (int i = 0; i < 400; ++i) {
+    const auto source = static_cast<NodeId>(rng() % topo.num_nodes());
+    core::MulticastRequest req{topo, source, {}};
+    for (const NodeId d : shapes[i % shapes.size()]) {
+      req.destinations.push_back(d ^ source);
+    }
+    batch.push_back(std::move(req));
+  }
+  ScheduleCache::Config config;
+  config.shards = 4;
+  config.max_bytes = 192 << 10;
+  for (const char* algo : {"ucube", "maxport", "combine", "wsort"}) {
+    const ServePipeline uncached(algo, nullptr);
+    std::vector<double> first;
+    for (int run = 0; run < 6; ++run) {
+      auto cache = std::make_shared<ScheduleCache>(config);
+      const ServePipeline pipeline(algo, cache);
+      const auto out = pipeline.serve_batch(batch, 4);
+      for (std::size_t i = 0; i < batch.size(); i += 37) {
+        ASSERT_TRUE(*out[i] == *uncached.serve(batch[i]))
+            << algo << " request " << i;
+      }
+      const ScheduleCache::Stats stats = cache->stats();
+      ASSERT_GT(stats.evictions, 0u) << algo;
+      std::vector<double> fields;
+      std::vector<std::string> names;
+      stats.for_each_field([&](const char* name, double value) {
+        names.push_back(name);
+        fields.push_back(value);
+      });
+      if (run == 0) {
+        first = fields;
+        continue;
+      }
+      for (std::size_t f = 0; f < fields.size(); ++f) {
+        EXPECT_EQ(fields[f], first[f])
+            << algo << " run " << run << " field " << names[f];
+      }
     }
   }
 }

@@ -12,25 +12,30 @@
 //   hypercast_cli stats --n 8 --requests 2048 --trace-out=trace.json
 //
 // Common options: --res high|low, --port one|all|k:<n>, --seed <u64>.
-// Observability (all commands): --stats[=text|json] prints the obs
+// Observability: --stats[=text|json] (all commands) prints the obs
 // registry exposition after the run; --trace-out=<file> writes Chrome
 // trace-event JSON (worm timelines for delay/faults, pipeline spans for
 // serve, both merged for stats).
-// Fault injection (all commands): --faults <count|rate> [--fault-seed s],
-// --fail-links u:d,..., --fail-nodes a,b. With faults present, trees are
-// built by the requested algorithm and then repaired fault-aware (serve
-// goes through ServePipeline::serve(request, faults), which repairs only
-// the trees a fault blocks); the simulator itself refuses to route a
-// worm into a failed channel, so a clean `delay` run doubles as proof
-// the repair worked.
+// Fault injection (every command but chains and stats): --faults
+// <count|rate> [--fault-seed s], --fail-links u:d,..., --fail-nodes a,b.
+// With faults present, trees are built by the requested algorithm and
+// then repaired fault-aware (serve goes through
+// ServePipeline::serve(request, faults), which repairs only the trees a
+// fault blocks); the simulator itself refuses to route a worm into a
+// failed channel, so a clean `delay` run doubles as proof the repair
+// worked.
+// Each command accepts only the flags it reads: any other flag exits 2
+// naming it and listing the command's flags.
 
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "coll/schedule_cache.hpp"
 #include "coll/serve_pipeline.hpp"
@@ -579,6 +584,7 @@ int usage() {
       "          worm timelines; serve: pipeline spans; stats: merged)\n"
       "  faults: [--faults count|rate] [--fault-seed s]\n"
       "          [--fail-links u:d,...] [--fail-nodes a,b]\n"
+      "          (every command but chains and stats)\n"
       "  serve:  --n <dim> [--requests r] [--shapes k] [--m dests]\n"
       "          [--threads t] parallel shard workers (unfaulted only)\n"
       "          [--cache on|off] [--cache-shards n] [--cache-bytes b]\n"
@@ -586,18 +592,73 @@ int usage() {
       "          [--cache on|off] — payload striped over the n\n"
       "          arc-disjoint trees vs the single tree, DES-replayed\n"
       "  stats:  [--n dim] [--requests r] [--format json|text|prom] —\n"
-      "          serving batch + simulated broadcast, stats forced on\n",
+      "          serving batch + simulated broadcast, stats forced on\n"
+      "  any flag a command does not read is an error (exit 2)\n",
       stderr);
   return 2;
 }
+
+// The flags each command reads. request_from reads n, res, source,
+// dests, m and seed; Options::fault_set the four fault flags;
+// Options::cache the three cache flags.
+constexpr std::string_view kPlanFlags[] = {
+    "n", "res", "source", "dests", "m", "seed", "port", "algo",
+    "faults", "fault-seed", "fail-links", "fail-nodes", "stats"};
+constexpr std::string_view kDelayFlags[] = {
+    "n", "res", "source", "dests", "m", "seed", "port", "algo", "bytes",
+    "faults", "fault-seed", "fail-links", "fail-nodes", "trace-out",
+    "stats"};
+constexpr std::string_view kChainsFlags[] = {
+    "n", "res", "source", "dests", "m", "seed", "port", "stats"};
+constexpr std::string_view kCompareFlags[] = {
+    "n", "res", "source", "dests", "m", "seed", "port", "bytes",
+    "faults", "fault-seed", "fail-links", "fail-nodes", "stats"};
+constexpr std::string_view kFaultsFlags[] = {
+    "n", "res", "algo", "port", "bytes", "faults", "fault-seed",
+    "fail-links", "fail-nodes", "trace-out", "stats"};
+constexpr std::string_view kServeFlags[] = {
+    "n", "res", "algo", "requests", "shapes", "m", "threads", "seed",
+    "cache", "cache-shards", "cache-bytes", "faults", "fault-seed",
+    "fail-links", "fail-nodes", "trace-out", "stats"};
+constexpr std::string_view kStripeFlags[] = {
+    "n", "res", "source", "dests", "m", "seed", "port", "algo", "bytes",
+    "parity", "stripe-threshold", "cache", "cache-shards", "cache-bytes",
+    "faults", "fault-seed", "fail-links", "fail-nodes", "stats"};
+constexpr std::string_view kStatsFlags[] = {
+    "n", "res", "algo", "requests", "shapes", "m", "threads", "seed",
+    "port", "bytes", "format", "trace-out", "stats"};
+
+struct Command {
+  std::string_view name;
+  int (*run)(const harness::Options&);
+  std::span<const std::string_view> flags;
+};
+
+constexpr Command kCommands[] = {
+    {"plan", cmd_plan, kPlanFlags},       {"steps", cmd_steps, kPlanFlags},
+    {"delay", cmd_delay, kDelayFlags},    {"chains", cmd_chains, kChainsFlags},
+    {"compare", cmd_compare, kCompareFlags},
+    {"faults", cmd_faults, kFaultsFlags}, {"serve", cmd_serve, kServeFlags},
+    {"stripe", cmd_stripe, kStripeFlags}, {"stats", cmd_stats, kStatsFlags},
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
-  const std::string cmd = argv[1];
+  const Command* command = nullptr;
+  for (const Command& c : kCommands) {
+    if (c.name == argv[1]) command = &c;
+  }
+  if (command == nullptr) return usage();
   try {
     const auto opts = hypercast::harness::Options::parse(argc, argv, 2);
+    try {
+      opts.reject_unknown(command->flags);
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "error: %s: %s\n", argv[1], e.what());
+      return 2;
+    }
     // Flags go live before the command runs (stats_mode also validates
     // the value up front, so a typo fails before a long run, not after).
     if (stats_mode(opts) != StatsMode::Off) {
@@ -606,16 +667,7 @@ int main(int argc, char** argv) {
     if (!opts.get_or("trace-out", "").empty()) {
       hypercast::obs::set_tracing_enabled(true);
     }
-    if (cmd == "plan") return cmd_plan(opts);
-    if (cmd == "steps") return cmd_steps(opts);
-    if (cmd == "delay") return cmd_delay(opts);
-    if (cmd == "chains") return cmd_chains(opts);
-    if (cmd == "compare") return cmd_compare(opts);
-    if (cmd == "faults") return cmd_faults(opts);
-    if (cmd == "serve") return cmd_serve(opts);
-    if (cmd == "stripe") return cmd_stripe(opts);
-    if (cmd == "stats") return cmd_stats(opts);
-    return usage();
+    return command->run(opts);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
