@@ -24,6 +24,21 @@ namespace hypercast::net {
 
 namespace {
 
+/// Per-connection admission cap: a binary client may have this many
+/// requests in flight before its reads pause.
+constexpr std::size_t kMaxInflightPerConn = 128;
+
+/// stop() flushes admitted work for at most this long before
+/// force-closing (a drain, not an accept timeout).
+constexpr std::chrono::milliseconds kDrainTimeout{5000};
+
+/// Reads pause once the queue depth reaches 3/4 of capacity (at least
+/// one request) and resume at or below 1/2 of it.
+std::size_t high_watermark(std::size_t capacity) {
+  return std::max<std::size_t>(1, capacity * 3 / 4);
+}
+std::size_t low_watermark(std::size_t capacity) { return capacity / 2; }
+
 [[noreturn]] void throw_errno(const char* what) {
   throw std::system_error(errno, std::generic_category(), what);
 }
@@ -116,17 +131,10 @@ struct Server::ConnTable {
 
 Server::Server(ServerConfig config)
     : config_(std::move(config)), conns_(std::make_unique<ConnTable>()) {
-  if (config_.workers < 1) config_.workers = 1;
-  if (config_.batch_max == 0) config_.batch_max = 1;
-  if (config_.queue_capacity == 0) config_.queue_capacity = 1;
-  if (config_.high_watermark == 0 || config_.high_watermark >
-                                         config_.queue_capacity) {
-    config_.high_watermark = config_.queue_capacity * 3 / 4;
-    if (config_.high_watermark == 0) config_.high_watermark = 1;
-  }
-  if (config_.low_watermark == 0 ||
-      config_.low_watermark > config_.high_watermark) {
-    config_.low_watermark = config_.queue_capacity / 2;
+  if (config_.workers < 1 || config_.queue_capacity == 0 ||
+      config_.batch_max == 0) {
+    throw std::invalid_argument(
+        "ServerConfig: workers, queue_capacity and batch_max must be >= 1");
   }
 }
 
@@ -290,8 +298,7 @@ void Server::event_loop() {
       // Enter the drain: no new connections, no new reads; everything
       // already admitted is still served and flushed.
       draining_ = true;
-      drain_deadline = clock::now() +
-                       std::chrono::milliseconds(config_.drain_timeout_ms);
+      drain_deadline = clock::now() + kDrainTimeout;
       if (listen_fd_ >= 0) {
         ::close(listen_fd_);
         listen_fd_ = -1;
@@ -333,7 +340,7 @@ void Server::event_loop() {
     for (auto& [fd, conn] : conns_->by_fd) {
       short events = 0;
       const bool read_ok = !draining_ && !reads_paused_.load() &&
-                           conn->inflight < config_.max_inflight_per_conn &&
+                           conn->inflight < kMaxInflightPerConn &&
                            !(conn->http && conn->inflight > 0) &&
                            !conn->close_after_flush;
       if (read_ok) events |= POLLIN;
@@ -446,12 +453,12 @@ void Server::parse_input(Conn& conn) {
 
 void Server::parse_binary(Conn& conn) {
   std::size_t consumed = 0;
-  while (conn.inflight < config_.max_inflight_per_conn) {
+  while (conn.inflight < kMaxInflightPerConn) {
     const std::string_view rest =
         std::string_view(conn.in).substr(consumed);
     std::size_t size = 0;
     try {
-      size = frame_size(rest, config_.max_frame_bytes);
+      size = frame_size(rest, kMaxFrameBytes);
     } catch (const ProtocolError& e) {
       // An over-limit length prefix cannot be resynchronized; answer
       // and hang up.
@@ -576,8 +583,7 @@ void Server::parse_http(Conn& conn) {
     HttpRequest request;
     std::size_t consumed = 0;
     try {
-      consumed = parse_http_request(conn.in, config_.max_frame_bytes,
-                                    request);
+      consumed = parse_http_request(conn.in, kMaxFrameBytes, request);
     } catch (const ProtocolError& e) {
       conn.out += http_response(
           400, "application/json",
@@ -618,7 +624,7 @@ Server::Admit Server::try_enqueue(Pending&& pending) {
     std::lock_guard<std::mutex> lock(queue_mu_);
     if (queue_.size() >= config_.queue_capacity) return Admit::QueueFull;
     queue_.push_back(std::move(pending));
-    pause = queue_.size() >= config_.high_watermark;
+    pause = queue_.size() >= high_watermark(config_.queue_capacity);
   }
   outstanding_.fetch_add(1, std::memory_order_relaxed);
   metrics_->requests->inc();
@@ -652,7 +658,7 @@ void Server::apply_completions() {
 
 void Server::maybe_resume_reads() {
   if (!reads_paused_.load(std::memory_order_relaxed)) return;
-  if (queue_depth() <= config_.low_watermark) {
+  if (queue_depth() <= low_watermark(config_.queue_capacity)) {
     reads_paused_.store(false, std::memory_order_relaxed);
     wake();
   }

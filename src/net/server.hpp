@@ -31,18 +31,16 @@ struct ServerConfig {
 
   int workers = 2;  ///< serving worker threads (>= 1)
 
-  /// Bounded request queue between the event loop and the workers.
-  /// Admission past `queue_capacity` is shed (ShedQueueFull / HTTP 429).
-  /// Reads pause once the depth crosses `high_watermark` and resume
-  /// below `low_watermark` (0 = derive: 3/4 and 1/2 of capacity) — TCP
-  /// backpressure toward clients instead of unbounded memory.
+  /// Bounded request queue between the event loop and the workers
+  /// (>= 1). Admission past `queue_capacity` is shed (ShedQueueFull /
+  /// HTTP 429). Reads pause once the depth reaches 3/4 of capacity and
+  /// resume at 1/2 — TCP backpressure toward clients instead of
+  /// unbounded memory.
   std::size_t queue_capacity = 4096;
-  std::size_t high_watermark = 0;
-  std::size_t low_watermark = 0;
 
-  std::size_t max_connections = 256;      ///< accept cap; excess refused
-  std::size_t max_inflight_per_conn = 128;  ///< per-conn admission cap
-  std::size_t batch_max = 64;  ///< requests coalesced per serve_batch call
+  std::size_t max_connections = 256;  ///< accept cap; excess refused
+  /// Requests coalesced per serve_batch call (>= 1).
+  std::size_t batch_max = 64;
 
   /// Queue-time SLO: a request still queued this long after admission
   /// is shed (ShedDeadline) instead of served late. 0 disables. The
@@ -59,12 +57,6 @@ struct ServerConfig {
   /// receipt inherit the contention-bounded stagger.
   bool cosched = false;
   coll::CoschedPolicy cosched_policy{};
-
-  std::size_t max_frame_bytes = kMaxFrameBytes;
-
-  /// stop() flushes admitted work for at most this long before
-  /// force-closing (a drain, not an accept timeout).
-  int drain_timeout_ms = 5000;
 };
 
 /// The async serving front end: one poll()-based event-loop thread owns
@@ -82,6 +74,8 @@ struct ServerConfig {
 /// close. No admitted request is lost or answered twice.
 class Server {
  public:
+  /// Throws std::invalid_argument when `workers`, `queue_capacity` or
+  /// `batch_max` is below 1.
   explicit Server(ServerConfig config);
   ~Server();  ///< stops (graceful drain) if still running
 

@@ -35,32 +35,14 @@ void EventQueue::throw_seq_exhausted() {
       "event seq counter exhausted: FIFO tie-break would wrap");
 }
 
-void EventQueue::reserve(std::size_t tickets, std::size_t actions) {
-  overflow_.reserve(tickets);
-  pool_.reserve(actions);
-  free_.reserve(actions);
-}
+void EventQueue::reserve(std::size_t tickets) { overflow_.reserve(tickets); }
 
-void EventQueue::schedule(SimTime at, Action action) {
-  check_schedule(at);
-  std::uint32_t slot;
-  if (free_.empty()) {
-    slot = static_cast<std::uint32_t>(pool_.size());
-    pool_.push_back(std::move(action));
-  } else {
-    slot = free_.back();
-    free_.pop_back();
-    pool_[slot] = std::move(action);
+std::uint16_t EventQueue::register_handler(Handler fn, void* ctx) {
+  if (handlers_.size() > std::numeric_limits<std::uint16_t>::max()) {
+    throw std::runtime_error("too many event handlers registered");
   }
-  push_ticket(Ticket{at, bump_seq(), slot, 0});
-}
-
-std::uint16_t EventQueue::register_handler(RawHandler fn, void* ctx) {
-  if (handlers_.size() >= std::numeric_limits<std::uint16_t>::max()) {
-    throw std::runtime_error("too many raw event handlers registered");
-  }
-  handlers_.push_back(Handler{fn, ctx});
-  return static_cast<std::uint16_t>(handlers_.size());
+  handlers_.push_back(Registered{fn, ctx});
+  return static_cast<std::uint16_t>(handlers_.size() - 1);
 }
 
 void EventQueue::push_current_band(Ticket t) {
@@ -195,46 +177,22 @@ EventQueue::Ticket EventQueue::pop_ticket() {
   return t;
 }
 
-void EventQueue::run_pooled(std::uint32_t slot) {
-  Action action = std::move(pool_[slot]);
-  free_.push_back(slot);
-  action();
-}
-
 bool EventQueue::run_next() {
   if (size_ == 0) return false;
   const Ticket ticket = pop_ticket();
   now_ = ticket.at;
   ++processed_;
-  if (ticket.kind != 0) {
-    const Handler h = handlers_[ticket.kind - 1];
-    h.fn(h.ctx, ticket.slot);
-  } else {
-    run_pooled(ticket.slot);
-  }
+  const Registered h = handlers_[ticket.kind];
+  h.fn(h.ctx, ticket.arg);
   return true;
 }
 
 void EventQueue::run_to_completion(std::uint64_t max_events) {
-  // The drain loop inlines the dispatch rather than calling run_next():
-  // raw handlers are the expected bulk of a big run, so the hot loop
-  // carries no Action storage in its frame — the pooled path lives in
-  // run_pooled(), behind a predicted-not-taken branch.
-  std::uint64_t fired = 0;
-  while (size_ != 0) {
+  for (std::uint64_t fired = 0; size_ != 0; ++fired) {
     if (fired == max_events) {
       throw std::runtime_error("event budget exhausted: runaway simulation?");
     }
-    const Ticket ticket = pop_ticket();
-    now_ = ticket.at;
-    ++processed_;
-    if (ticket.kind != 0) {
-      const Handler h = handlers_[ticket.kind - 1];
-      h.fn(h.ctx, ticket.slot);
-    } else {
-      run_pooled(ticket.slot);
-    }
-    ++fired;
+    run_next();
   }
 }
 
@@ -245,9 +203,7 @@ std::size_t EventQueue::memory_bytes() const {
   }
   bytes += occupied_.capacity() * sizeof(std::uint64_t);
   bytes += overflow_.capacity() * sizeof(Ticket);
-  bytes += pool_.capacity() * sizeof(Action);
-  bytes += free_.capacity() * sizeof(std::uint32_t);
-  bytes += handlers_.capacity() * sizeof(Handler);
+  bytes += handlers_.capacity() * sizeof(Registered);
   return bytes;
 }
 

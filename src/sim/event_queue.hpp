@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "sim/cost_model.hpp"
-#include "sim/inplace_function.hpp"
 
 namespace hypercast::sim {
 
@@ -30,22 +29,16 @@ namespace hypercast::sim {
 /// seq), so same-timestamp events still fire FIFO and every golden
 /// delay figure is bit-identical.
 ///
-/// Hot-path layout: buckets order small POD tickets {time, seq, slot,
-/// kind}; 24 bytes, the same pooled-ticket layout the heap used. A
-/// generic action lives in a pooled slot array (slots recycled through
-/// a free list, constructed and moved exactly once, no per-event heap
-/// allocation — see InplaceFunction). Simulation engines that fire
-/// millions of homogeneous continuations can skip the action pool
-/// entirely: register_handler() returns a kind tag and schedule_raw()
-/// enqueues just {time, kind, 32-bit arg}, dispatched through a flat
-/// handler table with no callable construction at all.
+/// Events: an engine registers each continuation once as a Handler
+/// (function pointer + context) and gets a kind tag back; schedule()
+/// enqueues a 24-byte POD ticket {time, seq, arg, kind}, and dispatch
+/// calls handlers_[kind] with the ticket's 32-bit arg. No callable is
+/// constructed, stored or moved per event.
 class EventQueue {
  public:
-  using Action = InplaceFunction<void(), 48>;
-
-  /// A raw continuation: called as fn(ctx, arg). Registered once per
+  /// A continuation: called as fn(ctx, arg). Registered once per
   /// engine; `ctx` must stay valid for the queue's lifetime.
-  using RawHandler = void (*)(void* ctx, std::uint32_t arg);
+  using Handler = void (*)(void* ctx, std::uint32_t arg);
 
   /// Current simulated time: the firing time of the event being
   /// processed, 0 before the first event.
@@ -58,35 +51,25 @@ class EventQueue {
   std::size_t pending() const { return size_; }
 
   /// Pre-size the ticket storage for about `tickets` concurrently
-  /// pending events (and optionally the action pool for `actions`
-  /// concurrently pending pooled callables), so a large run reaches its
-  /// steady state without growth reallocations. Raw-handler engines pass
-  /// actions = 0: their tickets carry no callable.
-  void reserve(std::size_t tickets, std::size_t actions = 0);
+  /// pending events, so a large run reaches its steady state without
+  /// growth reallocations.
+  void reserve(std::size_t tickets);
 
-  /// Throws std::logic_error when `at` lies before now().
-  void schedule(SimTime at, Action action);
+  /// Register a continuation handler; the returned kind tag is valid
+  /// for this queue forever (handlers are never unregistered).
+  std::uint16_t register_handler(Handler fn, void* ctx);
 
-  /// Convenience: schedule relative to now().
-  void schedule_in(SimTime delay, Action action) {
-    schedule(now_ + delay, std::move(action));
-  }
-
-  /// Register a raw continuation handler; the returned kind tag is
-  /// valid for this queue forever (handlers are never unregistered).
-  std::uint16_t register_handler(RawHandler fn, void* ctx);
-
-  /// Schedule a raw continuation: fires fn(ctx, arg) at `at`, ordered
-  /// exactly like any other event (global insertion seq breaks ties).
-  /// Costs one 24-byte ticket append — no action-pool traffic.
-  void schedule_raw(SimTime at, std::uint16_t kind, std::uint32_t arg) {
+  /// Fire fn(ctx, arg) of handler `kind` at `at`; events fire in (time,
+  /// insertion order). Throws std::logic_error when `at` lies before
+  /// now().
+  void schedule(SimTime at, std::uint16_t kind, std::uint32_t arg) {
     check_schedule(at);
     push_ticket(Ticket{at, bump_seq(), arg, kind});
   }
 
-  void schedule_raw_in(SimTime delay, std::uint16_t kind,
-                       std::uint32_t arg) {
-    schedule_raw(now_ + delay, kind, arg);
+  /// Convenience: schedule relative to now().
+  void schedule_in(SimTime delay, std::uint16_t kind, std::uint32_t arg) {
+    schedule(now_ + delay, kind, arg);
   }
 
   /// Pop and run the earliest event. Returns false when empty.
@@ -98,20 +81,19 @@ class EventQueue {
   void run_to_completion(std::uint64_t max_events = 100'000'000);
 
   /// Heap bytes currently pinned by the scheduler (buckets, overflow
-  /// ladder, action pool) — capacity, not size.
+  /// ladder, handler table) — capacity, not size.
   std::size_t memory_bytes() const;
 
  private:
-  /// kind 0 = pooled Action in pool_[slot]; kind >= 1 = raw handler
-  /// handlers_[kind - 1] called with arg `slot`. Same 24-byte POD the
-  /// binary heap used to sift; buckets move these, never actions.
+  /// Fires handlers_[kind] with `arg` at `at`; `seq` orders same-time
+  /// tickets.
   struct Ticket {
     SimTime at;
     std::uint64_t seq;
-    std::uint32_t slot;
+    std::uint32_t arg;
     std::uint16_t kind;
   };
-  static_assert(sizeof(Ticket) == 24, "pooled ticket layout");
+  static_assert(sizeof(Ticket) == 24, "ticket layout");
 
   /// Descending (time, seq): the next event to fire sits at the back of
   /// a sorted bucket, so draining a band is pop_back. A struct (not a
@@ -168,9 +150,6 @@ class EventQueue {
   /// and in_window_ itself (a respill zeroes both).
   void push_current_band(Ticket t);
   void respill(Ticket t);
-  /// Cold dispatch arm for pooled Actions: kept out of the drain loop so
-  /// the raw-handler hot path carries no Action storage in its frame.
-  void run_pooled(std::uint32_t slot);
   Ticket pop_ticket();
   /// Open a fresh window over the overflow ladder (requires a non-empty
   /// overflow): re-estimates width/band count, re-buckets what fits.
@@ -191,13 +170,11 @@ class EventQueue {
   std::size_t in_window_ = 0;     ///< tickets in buckets_
   std::size_t size_ = 0;          ///< total pending tickets
 
-  std::vector<Action> pool_;          ///< slot -> pending action
-  std::vector<std::uint32_t> free_;   ///< recycled pool slots
-  struct Handler {
-    RawHandler fn;
+  struct Registered {
+    Handler fn;
     void* ctx;
   };
-  std::vector<Handler> handlers_;
+  std::vector<Registered> handlers_;
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;

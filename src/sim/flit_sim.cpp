@@ -37,7 +37,8 @@ struct Worm {
 struct Link {
   static constexpr WormId kFree = ~WormId{0};
   WormId owner = kFree;
-  bool busy = false;  ///< a flit is mid-transfer
+  std::uint32_t hop = 0;  ///< this link's index on the owner's path
+  bool busy = false;      ///< a flit is mid-transfer
   /// Headers waiting for ownership: (worm, its path index for this link).
   std::deque<std::pair<WormId, std::size_t>> waiters;
 };
@@ -59,10 +60,19 @@ class FlitEngine {
     consumption_.assign(topo_.num_nodes(), Pool{pool_cap, 0, {}});
     cpu_free_.assign(topo_.num_nodes(), 0);
     assert(config.flit_bytes > 0 && config.buffer_flits >= 1);
+    kind_start_ =
+        queue_.register_handler(&thunk<&FlitEngine::start_node>, this);
+    kind_acquire_injection_ =
+        queue_.register_handler(&thunk<&FlitEngine::acquire_injection>, this);
+    kind_injection_granted_ =
+        queue_.register_handler(&thunk<&FlitEngine::injection_granted>, this);
+    kind_consumption_granted_ = queue_.register_handler(
+        &thunk<&FlitEngine::consumption_granted>, this);
+    kind_crossed_ = queue_.register_handler(&thunk<&FlitEngine::crossed>, this);
   }
 
   FlitResult run() {
-    start_node(schedule_.source(), 0);
+    start_node(schedule_.source());
     queue_.run_to_completion();
     finish();
     return std::move(result_);
@@ -73,8 +83,17 @@ class FlitEngine {
     return static_cast<SimTime>(bytes) * config_.cost.ns_per_byte;
   }
 
-  void start_node(NodeId node, SimTime ready) {
-    SimTime cpu = std::max(cpu_free_[node], ready);
+  /// The registered handler of each event kind: calls member Fn with
+  /// the ticket's arg.
+  template <void (FlitEngine::*Fn)(std::uint32_t)>
+  static void thunk(void* ctx, std::uint32_t arg) {
+    (static_cast<FlitEngine*>(ctx)->*Fn)(arg);
+  }
+
+  /// `node` issues its sends once it holds the message: at now(), and
+  /// no earlier than its CPU frees up.
+  void start_node(NodeId node) {
+    SimTime cpu = std::max(cpu_free_[node], queue_.now());
     for (const core::Send& send : schedule_.sends_from(node)) {
       const WormId id = static_cast<WormId>(worms_.size());
       Worm w;
@@ -103,7 +122,7 @@ class FlitEngine {
       worms_.push_back(std::move(w));
       ++result_.stats.messages;
       queue_.schedule(worms_[id].trace.header_start,
-                      [this, id] { acquire_injection(id); });
+                      kind_acquire_injection_, id);
     }
     cpu_free_[node] = cpu;
   }
@@ -170,6 +189,7 @@ class FlitEngine {
         return;
       }
       link.owner = id;
+      link.hop = static_cast<std::uint32_t>(i);
     }
 
     if (link.busy) return;
@@ -188,14 +208,24 @@ class FlitEngine {
     const SimTime duration =
         (j == 0 ? config_.cost.per_hop : 0) + w.flit_ns[j];
     ++result_.stats.flit_transfers;
-    queue_.schedule_in(duration, [this, id, i] { crossed(id, i); });
+    queue_.schedule_in(duration, kind_crossed_,
+                       static_cast<std::uint32_t>(w.links[i]));
   }
 
-  void crossed(WormId id, std::size_t i) {
+  static_assert(static_cast<std::uint64_t>(hcube::kMaxDim)
+                    << hcube::kMaxDim <= ~std::uint32_t{0},
+                "an arc index must fit an event's 32-bit arg");
+
+  /// A flit finished crossing `arc`. The link stays owned from the
+  /// crossing's schedule until here (only the tail's crossing frees
+  /// it), so its owner and hop name the worm and path index.
+  void crossed(std::uint32_t arc) {
+    Link& link = links_[arc];
+    const WormId id = link.owner;
+    const std::size_t i = link.hop;
     Worm& w = worms_[id];
     const std::size_t h = w.links.size();
     const std::size_t j = w.done[i];
-    Link& link = links_[w.links[i]];
     link.busy = false;
     ++w.done[i];
 
@@ -208,7 +238,6 @@ class FlitEngine {
 
     if (j + 1 == w.flit_count) {
       // The tail has crossed: release this link to the next header.
-      assert(link.owner == id);
       link.owner = Link::kFree;
       if (!link.waiters.empty()) {
         const auto [next, path_index] = link.waiters.front();
@@ -259,7 +288,7 @@ class FlitEngine {
       const WormId next = pool.waiters.front();
       pool.waiters.pop_front();
       ++pool.in_use;
-      queue_.schedule_in(0, [this, next] { injection_granted(next); });
+      queue_.schedule_in(0, kind_injection_granted_, next);
     }
   }
 
@@ -271,7 +300,7 @@ class FlitEngine {
       const WormId next = pool.waiters.front();
       pool.waiters.pop_front();
       ++pool.in_use;
-      queue_.schedule_in(0, [this, next] { consumption_granted(next); });
+      queue_.schedule_in(0, kind_consumption_granted_, next);
     }
   }
 
@@ -286,8 +315,7 @@ class FlitEngine {
     const auto [it, inserted] = result_.delivery.emplace(w.to, done);
     (void)it;
     assert(inserted && "schedule delivers to a node twice");
-    queue_.schedule(done,
-                    [this, node = w.to, done] { start_node(node, done); });
+    queue_.schedule(done, kind_start_, w.to);
   }
 
   void finish() {
@@ -310,6 +338,11 @@ class FlitEngine {
   FlitConfig config_;
   Topology topo_;
   EventQueue queue_;
+  std::uint16_t kind_start_ = 0;
+  std::uint16_t kind_acquire_injection_ = 0;
+  std::uint16_t kind_injection_granted_ = 0;
+  std::uint16_t kind_consumption_granted_ = 0;
+  std::uint16_t kind_crossed_ = 0;
   std::vector<Worm> worms_;
   std::vector<Link> links_;
   std::vector<Pool> injection_;

@@ -40,11 +40,10 @@ const SimMetrics& sim_metrics() {
 /// processor model: send startups and receive overheads serialize on
 /// each node's CPU across every job it participates in.
 ///
-/// Every hot continuation goes through the event queue's raw-handler
-/// path: worm deliveries arrive via the engine-wide delivery handler,
-/// and a node's post-receive forwarding is a raw ticket whose arg is the
-/// MessageId (job and node recovered from job_of_/destination, the time
-/// from now()). Only the per-job kick-off events use pooled actions.
+/// Worm deliveries arrive via the engine-wide delivery handler; a
+/// node's post-receive forwarding is an event whose arg is the MessageId
+/// (job and node recovered from job_of_/destination, the time from
+/// now()), and each job's kick-off is an event whose arg is the job.
 class Engine {
  public:
   Engine(std::span<const CollectiveJob> jobs, const SimConfig& config)
@@ -80,8 +79,8 @@ class Engine {
 
   MultiSimResult run() {
     for (std::size_t j = 0; j < jobs_.size(); ++j) {
-      queue_.schedule_raw(jobs_[j].start, kind_job_start_,
-                          static_cast<std::uint32_t>(j));
+      queue_.schedule(jobs_[j].start, kind_job_start_,
+                      static_cast<std::uint32_t>(j));
     }
     queue_.run_to_completion();
     finish();
@@ -135,7 +134,7 @@ class Engine {
     cpu_free_[node] = done;
     if (worms_.recording_traces()) worms_.trace(id).done = done;
     done_[id] = done;
-    queue_.schedule_raw(done, kind_forward_, id);
+    queue_.schedule(done, kind_forward_, id);
   }
 
   void finish() {

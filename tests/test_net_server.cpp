@@ -539,6 +539,11 @@ TEST(NetServer, ConfigValidationAndEphemeralPorts) {
         bad.start();
       },
       std::invalid_argument);
+  // Counts below 1 are rejected at construction, not clamped.
+  EXPECT_THROW(Server(ServerConfig{.workers = 0}), std::invalid_argument);
+  EXPECT_THROW(Server(ServerConfig{.queue_capacity = 0}),
+               std::invalid_argument);
+  EXPECT_THROW(Server(ServerConfig{.batch_max = 0}), std::invalid_argument);
 
   // Two servers on ephemeral ports coexist; start/stop is clean.
   Server a((ServerConfig{}));
