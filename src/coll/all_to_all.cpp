@@ -35,7 +35,6 @@ class ExchangeEngine {
 
   AllToAllResult run() {
     const std::size_t n_nodes = topo_.num_nodes();
-    cpu_free_.assign(n_nodes, 0);
     round_.assign(n_nodes, 0);
     if (topo_.dim() == 0) return std::move(result_);
     for (NodeId u = 0; u < n_nodes; ++u) {
@@ -63,22 +62,13 @@ class ExchangeEngine {
   /// `u` sends its next round's exchange: at now(), and no earlier
   /// than its CPU frees up.
   void begin_round(NodeId u) {
-    const int r = round_[u];
-    const NodeId peer = topo_.neighbor(u, round_dim(r));
-    const SimTime issue = std::max(cpu_free_[u], queue_.now());
-    const SimTime header_start = issue + config_.cost.send_startup;
-    cpu_free_[u] = header_start;
-    const sim::MessageId id =
-        worms_.inject(u, peer, round_bytes(), header_start);
-    if (worms_.recording_traces()) worms_.trace(id).issue = issue;
+    worms_.send(u, topo_.neighbor(u, round_dim(round_[u])), round_bytes(),
+                queue_.now());
     ++result_.stats.messages;
   }
 
   void received(NodeId u, sim::MessageId id, SimTime tail) {
-    const SimTime done =
-        std::max(cpu_free_[u], tail) + config_.cost.recv_overhead;
-    cpu_free_[u] = done;
-    if (worms_.recording_traces()) worms_.trace(id).done = done;
+    const SimTime done = worms_.receive(id, tail);
     const int r = ++round_[u];
     if (r < topo_.dim()) {
       queue_.schedule(done, kind_round_, u);
@@ -89,16 +79,9 @@ class ExchangeEngine {
   }
 
   void finish() {
-    result_.stats.events = queue_.events_processed();
-    result_.stats.blocked_acquisitions = worms_.blocked_acquisitions();
-    result_.stats.total_blocked_ns = worms_.total_blocked_ns();
-    if (result_.finish.size() != topo_.num_nodes() || !worms_.quiescent()) {
+    worms_.finish(result_.stats, result_.trace);
+    if (result_.finish.size() != topo_.num_nodes()) {
       throw std::logic_error("all-to-all drained before completing");
-    }
-    if (config_.record_trace) {
-      for (sim::MessageId id = 0; id < worms_.num_messages(); ++id) {
-        result_.trace.messages.push_back(worms_.trace(id));
-      }
     }
   }
 
@@ -107,7 +90,6 @@ class ExchangeEngine {
   sim::EventQueue queue_;
   sim::WormEngine worms_;
   std::uint16_t kind_round_ = 0;
-  std::vector<SimTime> cpu_free_;
   std::vector<int> round_;
   AllToAllResult result_;
 };

@@ -78,7 +78,7 @@ ReduceResult Collectives::gather(hcube::NodeId root,
   return simulate_reduce(*tree, config);
 }
 
-ScatterResult Collectives::scatter(
+sim::SimResult Collectives::scatter(
     hcube::NodeId root, std::span<const hcube::NodeId> destinations,
     std::size_t bytes_per_node) const {
   const auto tree = plan_shared(root, destinations);
@@ -112,7 +112,7 @@ AllToAllResult Collectives::all_to_all_scatter(
        root < static_cast<hcube::NodeId>(options_.topo.num_nodes()); ++root) {
     const auto dests = workload::broadcast_destinations(options_.topo, root);
     const auto tree = plan_shared(root, dests);
-    const ScatterResult phase = simulate_scatter(*tree, config);
+    const sim::SimResult phase = simulate_scatter(*tree, config);
     out.completion += phase.max_delay();
     out.stats.messages += phase.stats.messages;
     out.stats.blocked_acquisitions += phase.stats.blocked_acquisitions;

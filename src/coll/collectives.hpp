@@ -78,9 +78,9 @@ class Collectives {
 
   /// One-to-many personalized: each destination receives its own
   /// block; bundles shrink down the tree (the dual of gather).
-  ScatterResult scatter(hcube::NodeId root,
-                        std::span<const hcube::NodeId> destinations,
-                        std::size_t bytes_per_node) const;
+  sim::SimResult scatter(hcube::NodeId root,
+                         std::span<const hcube::NodeId> destinations,
+                         std::size_t bytes_per_node) const;
 
   /// Full-tree barrier: a minimal-payload reduction to `root` followed
   /// by a minimal-payload broadcast back. Returns the release time of

@@ -1,6 +1,5 @@
 #include "coll/reduce.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -45,7 +44,6 @@ class ReduceEngine {
 
     // Everyone enters at t = 0; leaves send immediately.
     for (const auto& [node, count] : pending_) {
-      cpu_free_[node] = 0;
       if (count == 0 && node != tree_.source()) {
         send_to_parent(node, 0);
       }
@@ -70,27 +68,19 @@ class ReduceEngine {
   void send_to_parent(NodeId node, SimTime ready) {
     const auto it = parent_.find(node);
     assert(it != parent_.end());
-    const NodeId parent = it->second;
-    const SimTime issue = std::max(cpu_free_[node], ready);
-    const SimTime header_start = issue + config_.cost.send_startup;
-    cpu_free_[node] = header_start;
-    const sim::MessageId id =
-        worms_.inject(node, parent, message_bytes(node), header_start);
-    if (worms_.recording_traces()) worms_.trace(id).issue = issue;
-    result_.send_time[node] = header_start;
+    result_.send_time[node] =
+        worms_.send(node, it->second, message_bytes(node), ready);
     ++result_.stats.messages;
   }
 
   void folded(NodeId node, sim::MessageId id, SimTime tail) {
     // Receive + (in Combine mode) fold into the accumulator; both
     // occupy the receiving CPU.
-    SimTime cpu = std::max(cpu_free_[node], tail) + config_.cost.recv_overhead;
-    if (config_.mode == ReduceConfig::Mode::Combine) {
-      cpu += static_cast<SimTime>(config_.block_bytes) *
-             config_.combine_ns_per_byte;
-    }
-    cpu_free_[node] = cpu;
-    if (worms_.recording_traces()) worms_.trace(id).done = cpu;
+    const SimTime fold = config_.mode == ReduceConfig::Mode::Combine
+                             ? static_cast<SimTime>(config_.block_bytes) *
+                                   config_.combine_ns_per_byte
+                             : 0;
+    const SimTime cpu = worms_.receive(id, tail, fold);
 
     auto& left = pending_.at(node);
     assert(left > 0);
@@ -103,20 +93,10 @@ class ReduceEngine {
   }
 
   void finish() {
-    result_.stats.events = queue_.events_processed();
-    result_.stats.blocked_acquisitions = worms_.blocked_acquisitions();
-    result_.stats.total_blocked_ns = worms_.total_blocked_ns();
-    if (!worms_.quiescent()) {
-      throw std::logic_error("reduction drained with undelivered messages");
-    }
+    worms_.finish(result_.stats, result_.trace);
     for (const auto& [node, count] : pending_) {
       if (count != 0) {
         throw std::logic_error("reduction finished with unfolded children");
-      }
-    }
-    if (config_.record_trace) {
-      for (sim::MessageId id = 0; id < worms_.num_messages(); ++id) {
-        result_.trace.messages.push_back(worms_.trace(id));
       }
     }
   }
@@ -128,7 +108,6 @@ class ReduceEngine {
   std::unordered_map<NodeId, NodeId> parent_;
   std::unordered_map<NodeId, std::size_t> subtree_size_;
   std::unordered_map<NodeId, std::size_t> pending_;
-  std::unordered_map<NodeId, SimTime> cpu_free_;
   ReduceResult result_;
 };
 

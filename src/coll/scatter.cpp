@@ -1,6 +1,5 @@
 #include "coll/scatter.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "sim/worm_engine.hpp"
@@ -32,8 +31,8 @@ class ScatterEngine {
         this);
   }
 
-  ScatterResult run() {
-    cpu_free_.assign(tree_.topo().num_nodes(), 0);
+  sim::SimResult run() {
+    result_.delivery.reserve(tree_.num_unicasts());
     start_node(tree_.source());
     queue_.run_to_completion();
     finish();
@@ -44,43 +43,27 @@ class ScatterEngine {
   /// `node` forwards its subtree bundles once it holds its own: at
   /// now(), and no earlier than its CPU frees up.
   void start_node(NodeId node) {
-    SimTime cpu = std::max(cpu_free_[node], queue_.now());
     for (const core::Send& send : tree_.sends_from(node)) {
       // The bundle for this subtree: the recipient's own block plus one
       // per payload destination.
       const std::size_t bytes =
           (send.payload.size() + 1) * config_.block_bytes;
-      const SimTime issue = cpu;
-      cpu += config_.cost.send_startup;
-      const sim::MessageId id = worms_.inject(node, send.to, bytes, cpu);
-      if (worms_.recording_traces()) worms_.trace(id).issue = issue;
+      worms_.send(node, send.to, bytes, queue_.now());
       ++result_.stats.messages;
     }
-    cpu_free_[node] = cpu;
   }
 
   void delivered(sim::MessageId id, SimTime tail) {
     const NodeId node = worms_.destination(id);
-    const SimTime done =
-        std::max(cpu_free_[node], tail) + config_.cost.recv_overhead;
-    cpu_free_[node] = done;
-    if (worms_.recording_traces()) worms_.trace(id).done = done;
+    const SimTime done = worms_.receive(id, tail);
     result_.delivery.emplace(node, done);
     queue_.schedule(done, kind_start_, node);
   }
 
   void finish() {
-    result_.stats.events = queue_.events_processed();
-    result_.stats.blocked_acquisitions = worms_.blocked_acquisitions();
-    result_.stats.total_blocked_ns = worms_.total_blocked_ns();
-    if (result_.delivery.size() != result_.stats.messages ||
-        !worms_.quiescent()) {
-      throw std::logic_error("scatter drained with undelivered bundles");
-    }
-    if (config_.record_trace) {
-      for (sim::MessageId id = 0; id < worms_.num_messages(); ++id) {
-        result_.trace.messages.push_back(worms_.trace(id));
-      }
+    worms_.finish(result_.stats, result_.trace);
+    if (result_.delivery.size() != result_.stats.messages) {
+      throw std::logic_error("scatter delivered a bundle to a node twice");
     }
   }
 
@@ -89,27 +72,13 @@ class ScatterEngine {
   sim::EventQueue queue_;
   sim::WormEngine worms_;
   std::uint16_t kind_start_ = 0;
-  std::vector<SimTime> cpu_free_;
-  ScatterResult result_;
+  sim::SimResult result_;
 };
 
 }  // namespace
 
-SimTime ScatterResult::max_delay(
-    std::span<const hcube::NodeId> targets) const {
-  SimTime worst = 0;
-  if (targets.empty()) {
-    for (const auto& [node, t] : delivery) worst = std::max(worst, t);
-  } else {
-    for (const hcube::NodeId n : targets) {
-      worst = std::max(worst, delivery.at(n));
-    }
-  }
-  return worst;
-}
-
-ScatterResult simulate_scatter(const core::MulticastSchedule& tree,
-                               const ScatterConfig& config) {
+sim::SimResult simulate_scatter(const core::MulticastSchedule& tree,
+                                const ScatterConfig& config) {
   return ScatterEngine(tree, config).run();
 }
 

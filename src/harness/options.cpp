@@ -99,6 +99,29 @@ long Options::get_int_or(const std::string& key, long fallback) const {
   return has(key) ? get_int(key) : fallback;
 }
 
+namespace {
+
+long in_range(const std::string& key, long v, long lo, long hi) {
+  if (v < lo || v > hi) {
+    throw std::invalid_argument("--" + key + " must be in [" +
+                                std::to_string(lo) + ", " +
+                                std::to_string(hi) + "], got " +
+                                std::to_string(v));
+  }
+  return v;
+}
+
+}  // namespace
+
+long Options::get_int_in(const std::string& key, long lo, long hi) const {
+  return in_range(key, get_int(key), lo, hi);
+}
+
+long Options::get_int_in_or(const std::string& key, long fallback, long lo,
+                            long hi) const {
+  return in_range(key, get_int_or(key, fallback), lo, hi);
+}
+
 double Options::get_double(const std::string& key) const {
   const std::string& v = typed_value(key, "a number");
   std::size_t pos = 0;

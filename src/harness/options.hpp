@@ -58,6 +58,13 @@ class Options {
   std::vector<std::string> get_all(const std::string& key) const;
   long get_int(const std::string& key) const;
   long get_int_or(const std::string& key, long fallback) const;
+
+  /// get_int / get_int_or with a range check: a value outside [lo, hi]
+  /// throws std::invalid_argument "--key must be in [lo, hi], got v"
+  /// instead of wrapping when the caller narrows it.
+  long get_int_in(const std::string& key, long lo, long hi) const;
+  long get_int_in_or(const std::string& key, long fallback, long lo,
+                     long hi) const;
   double get_double(const std::string& key) const;
 
   /// Comma-separated node list, e.g. "3,5,12".

@@ -1,7 +1,11 @@
 #ifndef HYPERCAST_SIM_COST_MODEL_HPP
 #define HYPERCAST_SIM_COST_MODEL_HPP
 
+#include <algorithm>
 #include <cstdint>
+#include <vector>
+
+#include "hcube/types.hpp"
 
 namespace hypercast::sim {
 
@@ -50,6 +54,50 @@ struct CostModel {
   static constexpr CostModel fast_network() {
     return CostModel{microseconds(10), microseconds(5), 500, 10};
   }
+};
+
+/// The processor model every DES engine shares. Each node's CPU
+/// serializes its software costs: one send startup per unicast, issued
+/// in call order, and one receive overhead per arrival, each starting no
+/// earlier than the CPU is free. The network side (channels, ports,
+/// blocking) is the engines' business; this is the whole CPU side.
+class Processors {
+ public:
+  Processors(const CostModel& cost, std::size_t num_nodes)
+      : send_startup_(cost.send_startup),
+        recv_overhead_(cost.recv_overhead),
+        free_(num_nodes, 0) {}
+
+  /// `node` issues one unicast once it is `ready`: returns the header
+  /// start, max(free, ready) + send_startup, which the CPU is busy until.
+  SimTime send(hcube::NodeId node, SimTime ready) {
+    SimTime& free = free_[node];
+    free = std::max(free, ready) + send_startup_;
+    return free;
+  }
+
+  /// `node` copies out a message whose tail arrived at `tail`, plus
+  /// `extra` CPU work (a reduction's fold): returns the done time,
+  /// max(free, tail) + recv_overhead + extra.
+  SimTime receive(hcube::NodeId node, SimTime tail, SimTime extra = 0) {
+    SimTime& free = free_[node];
+    free = std::max(free, tail) + recv_overhead_ + extra;
+    return free;
+  }
+
+  /// When the send whose header started at `header_start` was issued
+  /// (its startup began) — a trace's `issue`.
+  SimTime issued(SimTime header_start) const {
+    return header_start - send_startup_;
+  }
+
+  /// Every CPU free at t = 0 again.
+  void reset() { std::fill(free_.begin(), free_.end(), 0); }
+
+ private:
+  SimTime send_startup_;
+  SimTime recv_overhead_;
+  std::vector<SimTime> free_;  ///< per node: when its CPU is next free
 };
 
 }  // namespace hypercast::sim

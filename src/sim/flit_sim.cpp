@@ -52,13 +52,16 @@ struct Pool {
 class FlitEngine {
  public:
   FlitEngine(const core::MulticastSchedule& schedule, const FlitConfig& config)
-      : schedule_(schedule), config_(config), topo_(schedule.topo()) {
+      : schedule_(schedule),
+        config_(config),
+        topo_(schedule.topo()),
+        cpus_(config.cost, topo_.num_nodes()) {
     links_.resize(topo_.num_arcs());
     const int pool_cap =
         std::max(1, config.port.concurrency(topo_.dim()));
     injection_.assign(topo_.num_nodes(), Pool{pool_cap, 0, {}});
     consumption_.assign(topo_.num_nodes(), Pool{pool_cap, 0, {}});
-    cpu_free_.assign(topo_.num_nodes(), 0);
+    result_.delivery.reserve(schedule.num_unicasts());
     assert(config.flit_bytes > 0 && config.buffer_flits >= 1);
     kind_start_ =
         queue_.register_handler(&thunk<&FlitEngine::start_node>, this);
@@ -93,7 +96,6 @@ class FlitEngine {
   /// `node` issues its sends once it holds the message: at now(), and
   /// no earlier than its CPU frees up.
   void start_node(NodeId node) {
-    SimTime cpu = std::max(cpu_free_[node], queue_.now());
     for (const core::Send& send : schedule_.sends_from(node)) {
       const WormId id = static_cast<WormId>(worms_.size());
       Worm w;
@@ -116,15 +118,13 @@ class FlitEngine {
       w.trace.from = node;
       w.trace.to = send.to;
       w.trace.hops = static_cast<int>(w.links.size());
-      w.trace.issue = cpu;
-      cpu += config_.cost.send_startup;
-      w.trace.header_start = cpu;
+      w.trace.header_start = cpus_.send(node, queue_.now());
+      w.trace.issue = cpus_.issued(w.trace.header_start);
       worms_.push_back(std::move(w));
       ++result_.stats.messages;
       queue_.schedule(worms_[id].trace.header_start,
                       kind_acquire_injection_, id);
     }
-    cpu_free_[node] = cpu;
   }
 
   void acquire_injection(WormId id) {
@@ -308,9 +308,7 @@ class FlitEngine {
     Worm& w = worms_[id];
     w.trace.tail = queue_.now();
     release_consumption(id);
-    const SimTime done =
-        std::max(cpu_free_[w.to], queue_.now()) + config_.cost.recv_overhead;
-    cpu_free_[w.to] = done;
+    const SimTime done = cpus_.receive(w.to, queue_.now());
     w.trace.done = done;
     const auto [it, inserted] = result_.delivery.emplace(w.to, done);
     (void)it;
@@ -337,6 +335,7 @@ class FlitEngine {
   const core::MulticastSchedule& schedule_;
   FlitConfig config_;
   Topology topo_;
+  Processors cpus_;
   EventQueue queue_;
   std::uint16_t kind_start_ = 0;
   std::uint16_t kind_acquire_injection_ = 0;
@@ -347,21 +346,10 @@ class FlitEngine {
   std::vector<Link> links_;
   std::vector<Pool> injection_;
   std::vector<Pool> consumption_;
-  std::vector<SimTime> cpu_free_;
   FlitResult result_;
 };
 
 }  // namespace
-
-SimTime FlitResult::max_delay(std::span<const hcube::NodeId> targets) const {
-  SimTime worst = 0;
-  if (targets.empty()) {
-    for (const auto& [node, t] : delivery) worst = std::max(worst, t);
-  } else {
-    for (const hcube::NodeId n : targets) worst = std::max(worst, delivery.at(n));
-  }
-  return worst;
-}
 
 FlitResult simulate_multicast_flit(const core::MulticastSchedule& schedule,
                                    const FlitConfig& config) {

@@ -27,6 +27,15 @@ struct MessageTrace {
   int blocked_times = 0;      ///< number of acquisitions that had to wait
 };
 
+/// Aggregate counters of one simulation run.
+struct SimStats {
+  std::uint64_t messages = 0;
+  std::uint64_t blocked_acquisitions = 0;  ///< channel waits (0 for
+                                           ///< contention-free schedules)
+  SimTime total_blocked_ns = 0;
+  std::uint64_t events = 0;
+};
+
 struct Trace {
   std::vector<MessageTrace> messages;
 

@@ -1,8 +1,35 @@
 #include "sim/worm_engine.hpp"
 
 #include <cassert>
+#include <stdexcept>
 
 namespace hypercast::sim {
+
+SimTime WormEngine::send(hcube::NodeId from, hcube::NodeId to,
+                         std::size_t bytes, SimTime ready) {
+  const SimTime header_start = cpus_.send(from, ready);
+  const MessageId id = inject(from, to, bytes, header_start);
+  if (record_trace_) traces_[id].issue = cpus_.issued(header_start);
+  return header_start;
+}
+
+SimTime WormEngine::receive(MessageId id, SimTime tail, SimTime extra) {
+  const SimTime done = cpus_.receive(to_[id], tail, extra);
+  if (record_trace_) traces_[id].done = done;
+  return done;
+}
+
+void WormEngine::finish(SimStats& stats, Trace& trace) const {
+  stats.events = queue_.events_processed();
+  stats.blocked_acquisitions = blocked_;
+  stats.total_blocked_ns = total_blocked_;
+  if (!quiescent()) {
+    throw std::logic_error(
+        "simulation drained with undelivered worms (deadlock?)");
+  }
+  trace.messages.insert(trace.messages.end(), traces_.begin(),
+                        traces_.end());
+}
 
 MessageId WormEngine::inject(hcube::NodeId from, hcube::NodeId to,
                              std::size_t bytes, SimTime header_start) {
@@ -110,6 +137,7 @@ void WormEngine::reset() {
   traces_.clear();
   path_pool_.clear();
   net_.reset();
+  cpus_.reset();
   blocked_ = 0;
   total_blocked_ = 0;
   delivered_ = 0;

@@ -11,15 +11,18 @@
 
 namespace hypercast::sim {
 
-/// Low-level wormhole transport shared by the multicast and reduction
-/// simulators: callers inject unicast worms; the engine walks each worm
-/// through injection slot -> E-cube arcs -> consumption slot (FIFO
-/// blocking, path held while blocked, whole path released when the tail
-/// arrives) and invokes the caller's delivery handler at tail time.
+/// Low-level wormhole transport shared by the multicast, scatter,
+/// reduction and all-to-all simulators: callers send unicast worms; the
+/// engine walks each worm through injection slot -> E-cube arcs ->
+/// consumption slot (FIFO blocking, path held while blocked, whole path
+/// released when the tail arrives) and invokes the caller's delivery
+/// handler at tail time.
 ///
-/// The engine owns the network resources and shares the caller's event
-/// queue; processor modelling (startups, receive overheads) is the
-/// caller's business.
+/// The engine owns the network resources and the processor model
+/// (sim::Processors: send startups and receive overheads), and shares
+/// the caller's event queue. Callers decide *when* a node sends and what
+/// a receive costs on top of the overhead; send() and receive() do the
+/// CPU arithmetic and fill the trace's issue/done.
 ///
 /// Hot-path layout: worm state is SoA. The fields advance/resume touch
 /// per hop live in one packed 8-byte PathRef array (path offset/len and
@@ -49,6 +52,7 @@ class WormEngine {
              bool record_trace = false)
       : cost_(cost),
         net_(topo, port, faults),
+        cpus_(cost, topo.num_nodes()),
         queue_(queue),
         record_trace_(record_trace) {
     kind_advance_ = queue_.register_handler(&WormEngine::advance_thunk, this);
@@ -63,14 +67,31 @@ class WormEngine {
     delivered_ctx_ = ctx;
   }
 
-  /// Launch a worm: the header enters the network at `header_start`
-  /// (callers account for send startup) carrying `bytes` of payload.
+  /// `from`'s CPU issues a unicast once it is `ready` (one send startup,
+  /// serialized with its other work), then the worm is injected.
+  /// Returns the header start.
+  SimTime send(hcube::NodeId from, hcube::NodeId to, std::size_t bytes,
+               SimTime ready);
+
+  /// Worm `id`'s destination CPU copies it out after its tail arrived at
+  /// `tail`: one receive overhead plus `extra` CPU work, serialized with
+  /// the node's other work. Returns the done time.
+  SimTime receive(MessageId id, SimTime tail, SimTime extra = 0);
+
+  /// Launch a worm with no processor cost: the header enters the network
+  /// at `header_start` carrying `bytes` of payload.
   MessageId inject(hcube::NodeId from, hcube::NodeId to, std::size_t bytes,
                    SimTime header_start);
 
+  /// The end-of-run epilogue every driver shares: copies the event count
+  /// and the blocking totals into `stats`, throws std::logic_error unless
+  /// the engine is quiescent(), and appends the recorded traces (if any)
+  /// to `trace` in MessageId order.
+  void finish(SimStats& stats, Trace& trace) const;
+
   /// Per-message timeline; only populated when recording_traces().
-  /// from/to/hops/header_start/path_acquired/tail/blocked_* are filled
-  /// by the engine; issue/done belong to the caller's processor model.
+  /// issue/done come from send()/receive(), the rest from the network
+  /// walk.
   MessageTrace& trace(MessageId id) { return traces_[id]; }
   const MessageTrace& trace(MessageId id) const { return traces_[id]; }
   bool recording_traces() const { return record_trace_; }
@@ -95,12 +116,14 @@ class WormEngine {
   /// `path_slots_per_message` path resources each.
   void reserve(std::size_t messages, std::size_t path_slots_per_message);
 
-  /// Forget every worm and restore the network to idle, keeping all
-  /// allocations — a reused engine starts the next job at steady state.
+  /// Forget every worm, restore the network to idle and free every CPU,
+  /// keeping all allocations — a reused engine starts the next job at
+  /// steady state.
   /// The shared event queue must be drained first (quiescent run end).
   void reset();
 
-  /// Heap bytes pinned by worm state + the network (capacity, not size).
+  /// Heap bytes pinned by worm state + the network (capacity, not size;
+  /// the per-node processor clocks are not counted).
   std::size_t memory_bytes() const;
 
  private:
@@ -134,6 +157,7 @@ class WormEngine {
 
   CostModel cost_;
   Network net_;
+  Processors cpus_;
   EventQueue& queue_;
   bool record_trace_;
   std::uint16_t kind_advance_ = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <stdexcept>
 
 #include "obs/registry.hpp"
 #include "sim/event_queue.hpp"
@@ -36,8 +35,8 @@ const SimMetrics& sim_metrics() {
   return m;
 }
 
-/// Replays multicast schedules over a shared WormEngine, adding the
-/// processor model: send startups and receive overheads serialize on
+/// Replays multicast schedules over a shared WormEngine, whose
+/// processor model serializes send startups and receive overheads on
 /// each node's CPU across every job it participates in.
 ///
 /// Worm deliveries arrive via the engine-wide delivery handler; a
@@ -56,7 +55,6 @@ class Engine {
     kind_forward_ = queue_.register_handler(&Engine::forward_thunk, this);
     kind_job_start_ = queue_.register_handler(&Engine::job_start_thunk, this);
     result_.per_job.resize(jobs.size());
-    cpu_free_.assign(topo_.num_nodes(), 0);
     std::size_t total_unicasts = 0;
     for (std::size_t j = 0; j < jobs.size(); ++j) {
       total_unicasts += jobs[j].schedule->num_unicasts();
@@ -66,7 +64,7 @@ class Engine {
     job_of_.reserve(total_unicasts);
     // MessageIds are assigned densely by injection order, so the flat
     // done-time table can be sized exactly once up front.
-    done_.assign(total_unicasts, kUndelivered);
+    done_.assign(total_unicasts, 0);
 #ifndef NDEBUG
     for (const CollectiveJob& job : jobs_) {
       assert(job.schedule != nullptr);
@@ -106,70 +104,47 @@ class Engine {
   /// beginning no earlier than `ready` and no earlier than the CPU is
   /// free from other work.
   void start_node(std::size_t job, hcube::NodeId node, SimTime ready) {
-    SimTime cpu = std::max(cpu_free_[node], ready);
     const std::size_t bytes = jobs_[job].message_bytes != 0
                                   ? jobs_[job].message_bytes
                                   : config_.message_bytes;
     for (const core::Send& send : jobs_[job].schedule->sends_from(node)) {
-      const SimTime issue = cpu;
-      cpu += config_.cost.send_startup;
-      const MessageId id = worms_.inject(node, send.to, bytes, cpu);
-      if (worms_.recording_traces()) worms_.trace(id).issue = issue;
+      worms_.send(node, send.to, bytes, ready);
       job_of_.push_back(static_cast<std::uint32_t>(job));
       ++result_.stats.messages;
       ++result_.per_job[job].stats.messages;
     }
-    cpu_free_[node] = cpu;
   }
 
   void delivered(MessageId id, SimTime tail) {
-    // The receiving processor copies the message out of the network
-    // (serialized with whatever else that CPU is doing), then continues
-    // this job's forwarding. The delivery-map entry is deferred to
-    // finish(): hashing into per-job maps is batch work, not per-event
-    // work.
-    const hcube::NodeId node = worms_.destination(id);
-    const SimTime done =
-        std::max(cpu_free_[node], tail) + config_.cost.recv_overhead;
-    cpu_free_[node] = done;
-    if (worms_.recording_traces()) worms_.trace(id).done = done;
+    // The receiving processor copies the message out of the network,
+    // then continues this job's forwarding. The delivery-map entry is
+    // deferred to finish(): hashing into per-job maps is batch work, not
+    // per-event work.
+    const SimTime done = worms_.receive(id, tail);
     done_[id] = done;
     queue_.schedule(done, kind_forward_, id);
   }
 
   void finish() {
-    result_.stats.events = queue_.events_processed();
-    result_.stats.blocked_acquisitions = worms_.blocked_acquisitions();
-    result_.stats.total_blocked_ns = worms_.total_blocked_ns();
-    for (std::size_t j = 0; j < jobs_.size(); ++j) {
-      result_.per_job[j].stats.events = result_.stats.events;
-    }
-    // Materialize the per-job delivery maps from the flat done_ array.
-    std::size_t delivered_total = 0;
-    for (MessageId id = 0; id < done_.size(); ++id) {
-      if (done_[id] == kUndelivered) continue;
-      ++delivered_total;
-      const auto [it, inserted] = result_.per_job[job_of_[id]].delivery.emplace(
-          worms_.destination(id), done_[id]);
+    worms_.finish(result_.stats, result_.trace);
+    // Every worm delivered: scatter the flat done_ array into per-job
+    // delivery maps, with per-job blocking stats (and traces when
+    // recorded) from the engine's per-worm accounting.
+    for (MessageId id = 0; id < worms_.num_messages(); ++id) {
+      SimResult& job = result_.per_job[job_of_[id]];
+      const auto [it, inserted] =
+          job.delivery.emplace(worms_.destination(id), done_[id]);
       (void)it;
       assert(inserted && "schedule delivers to a node twice");
-    }
-    if (delivered_total != result_.stats.messages || !worms_.quiescent()) {
-      throw std::logic_error(
-          "simulation drained with undelivered messages (deadlock?)");
-    }
-    // Per-job blocking stats (and traces when recorded) come from the
-    // engine's per-worm accounting.
-    for (MessageId id = 0; id < worms_.num_messages(); ++id) {
-      const std::size_t job = job_of_[id];
-      result_.per_job[job].stats.blocked_acquisitions +=
+      job.stats.blocked_acquisitions +=
           static_cast<std::uint64_t>(worms_.blocked_times(id));
-      result_.per_job[job].stats.total_blocked_ns += worms_.blocked_ns(id);
+      job.stats.total_blocked_ns += worms_.blocked_ns(id);
       if (config_.record_trace) {
-        const MessageTrace& t = worms_.trace(id);
-        result_.trace.messages.push_back(t);
-        result_.per_job[job].trace.messages.push_back(t);
+        job.trace.messages.push_back(result_.trace.messages[id]);
       }
+    }
+    for (SimResult& job : result_.per_job) {
+      job.stats.events = result_.stats.events;
     }
     if (obs::stats_enabled()) {
       const SimMetrics& m = sim_metrics();
@@ -185,7 +160,6 @@ class Engine {
         }
       }
     }
-    return;
   }
 
   std::span<const CollectiveJob> jobs_;
@@ -196,38 +170,12 @@ class Engine {
   std::uint16_t kind_forward_ = 0;
   std::uint16_t kind_job_start_ = 0;
   std::vector<std::uint32_t> job_of_;  ///< indexed by MessageId
-  static constexpr SimTime kUndelivered = -1;
   std::vector<SimTime> done_;  ///< indexed by MessageId; scattered into
                                ///< per-job delivery maps in finish()
-  std::vector<SimTime> cpu_free_;
   MultiSimResult result_;
 };
 
 }  // namespace
-
-SimTime SimResult::max_delay(std::span<const hcube::NodeId> targets) const {
-  SimTime worst = 0;
-  if (targets.empty()) {
-    for (const auto& [node, t] : delivery) worst = std::max(worst, t);
-  } else {
-    for (const hcube::NodeId n : targets) worst = std::max(worst, delivery.at(n));
-  }
-  return worst;
-}
-
-double SimResult::avg_delay(std::span<const hcube::NodeId> targets) const {
-  if (targets.empty()) {
-    if (delivery.empty()) return 0.0;
-    double sum = 0;
-    for (const auto& [node, t] : delivery) sum += static_cast<double>(t);
-    return sum / static_cast<double>(delivery.size());
-  }
-  double sum = 0;
-  for (const hcube::NodeId n : targets) {
-    sum += static_cast<double>(delivery.at(n));
-  }
-  return sum / static_cast<double>(targets.size());
-}
 
 SimTime MultiSimResult::makespan() const {
   SimTime worst = 0;

@@ -27,14 +27,6 @@ struct SimConfig {
   const fault::FaultSet* faults = nullptr;
 };
 
-struct SimStats {
-  std::uint64_t messages = 0;
-  std::uint64_t blocked_acquisitions = 0;  ///< channel waits (0 for
-                                           ///< contention-free schedules)
-  SimTime total_blocked_ns = 0;
-  std::uint64_t events = 0;
-};
-
 /// Outcome of simulating one multicast schedule.
 struct SimResult {
   /// Per recipient: the time its processor has fully received the
@@ -49,8 +41,12 @@ struct SimResult {
 
   /// Max and mean delay over `targets` (or all recipients when empty) —
   /// the quantities plotted in Figures 11-14.
-  SimTime max_delay(std::span<const hcube::NodeId> targets = {}) const;
-  double avg_delay(std::span<const hcube::NodeId> targets = {}) const;
+  SimTime max_delay(std::span<const hcube::NodeId> targets = {}) const {
+    return delivery.max_time(targets);
+  }
+  double avg_delay(std::span<const hcube::NodeId> targets = {}) const {
+    return delivery.mean_time(targets);
+  }
 };
 
 /// One multicast participating in a shared-network simulation.

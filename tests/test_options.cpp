@@ -176,6 +176,21 @@ TEST(Options, RejectUnknownNamesTheFlagAndListsTheKnownOnes) {
             "unknown flag --cosched-overlp (known: --port --quiet)");
 }
 
+TEST(Options, RangedIntegersNameTheFlagAndTheRange) {
+  const auto o = parse({"--port", "70000", "--depth", "1"});
+  EXPECT_EQ(o.get_int_in("depth", 1, 8), 1);
+  EXPECT_EQ(o.get_int_in_or("seed", 0, 0, 9), 0);
+  EXPECT_THROW(o.get_int_in("seed", 0, 9), std::invalid_argument);
+  try {
+    o.get_int_in("port", 1, 65535);
+    ADD_FAILURE() << "--port 70000 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "--port must be in [1, 65535], got 70000");
+  }
+  // The fallback is range-checked too: a default out of range is a bug.
+  EXPECT_THROW(o.get_int_in_or("dim", 0, 1, 20), std::invalid_argument);
+}
+
 TEST(Options, KeysListsEverything) {
   const auto o = parse({"--a", "1", "--b", "2"});
   auto keys = o.keys();

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <stdexcept>
 #include <vector>
 
 namespace hypercast::sim {
@@ -177,6 +178,46 @@ TEST(WormEngine, ResetKeepsCapacityAndRestoresInvariants) {
   f.engine.inject(0, 0b1100, 4096, base + 0);
   f.queue.run_to_completion();
   EXPECT_EQ(second, first);
+}
+
+TEST(WormEngine, SendAndReceiveSerializeOnTheNodesCpu) {
+  Fixture f;
+  std::vector<SimTime> done;
+  f.sink.fn = [&](MessageId id, SimTime tail) {
+    done.push_back(f.engine.receive(id, tail, /*extra=*/7));
+  };
+  // Two sends from node 0 pay their startups back to back; a send whose
+  // node is ready later starts from there.
+  EXPECT_EQ(f.engine.send(0, 0b0001, 64, 100), 100 + f.cost.send_startup);
+  EXPECT_EQ(f.engine.send(0, 0b0010, 64, 100),
+            100 + 2 * f.cost.send_startup);
+  const SimTime late = 10 * f.cost.send_startup;
+  EXPECT_EQ(f.engine.send(0, 0b0100, 64, late), late + f.cost.send_startup);
+  f.queue.run_to_completion();
+  ASSERT_EQ(done.size(), 3u);
+  for (MessageId id = 0; id < 3; ++id) {
+    const MessageTrace& t = f.engine.trace(id);
+    EXPECT_EQ(t.issue, t.header_start - f.cost.send_startup);
+    EXPECT_EQ(t.done, t.tail + f.cost.recv_overhead + 7);
+    EXPECT_EQ(t.done, done[id]);
+  }
+
+  SimStats stats;
+  Trace trace;
+  f.engine.finish(stats, trace);
+  EXPECT_EQ(stats.events, f.queue.events_processed());
+  EXPECT_EQ(stats.blocked_acquisitions, 0u);
+  EXPECT_EQ(trace.messages.size(), 3u);
+}
+
+TEST(WormEngine, FinishThrowsWhileWormsAreInFlight) {
+  Fixture f;
+  f.engine.send(0, 0b0111, 64, 0);
+  SimStats stats;
+  Trace trace;
+  EXPECT_THROW(f.engine.finish(stats, trace), std::logic_error);
+  f.queue.run_to_completion();
+  EXPECT_NO_THROW(f.engine.finish(stats, trace));
 }
 
 TEST(WormEngine, MemoryBytesGrowsWithWorms) {

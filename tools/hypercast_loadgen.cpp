@@ -14,11 +14,13 @@
 // so check_bench_regression.py --only serve_net can gate it. --quick
 // shrinks the run for CI smoke. Exit status: 0 on a clean run, 1 when
 // requests were lost or connections died, 2 on usage errors (an
-// unknown flag among them: the message lists the known ones).
+// unknown flag among them: the message lists the known ones; an integer
+// flag out of range: the message names the flag and its range).
 
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string_view>
 
 #include "harness/options.hpp"
@@ -28,6 +30,7 @@ int main(int argc, char** argv) {
   using hypercast::harness::Options;
   using hypercast::net::LoadgenConfig;
   using hypercast::net::LoadgenResult;
+  constexpr long kLongMax = std::numeric_limits<long>::max();
   try {
     const Options opts = Options::parse(argc, argv);
     static constexpr std::string_view kKnown[] = {
@@ -39,22 +42,27 @@ int main(int argc, char** argv) {
 
     LoadgenConfig config;
     config.host = opts.get_or("host", config.host);
-    config.port = static_cast<std::uint16_t>(opts.get_int("port"));
-    config.connections = static_cast<int>(
-        opts.get_int_or("connections", quick ? 2 : config.connections));
-    config.depth = static_cast<std::size_t>(
-        opts.get_int_or("depth", static_cast<long>(config.depth)));
+    // Every integer flag is range-checked before any socket or client
+    // thread exists, so a bad value is a usage error, never a wrapped
+    // port or depth.
+    config.port =
+        static_cast<std::uint16_t>(opts.get_int_in("port", 1, 65535));
+    config.connections = static_cast<int>(opts.get_int_in_or(
+        "connections", quick ? 2 : config.connections, 1, 1024));
+    config.depth = static_cast<std::size_t>(opts.get_int_in_or(
+        "depth", static_cast<long>(config.depth), 1, kLongMax));
     config.open_rate = opts.has("rate") ? opts.get_double("rate") : 0.0;
-    config.total_requests =
-        static_cast<std::uint64_t>(opts.get_int_or("requests", 0));
+    config.total_requests = static_cast<std::uint64_t>(
+        opts.get_int_in_or("requests", 0, 0, kLongMax));
     config.duration_s = opts.has("duration") ? opts.get_double("duration")
                                              : (quick ? 0.5 : 2.0);
-    config.seed = static_cast<std::uint64_t>(
-        opts.get_int_or("seed", static_cast<long>(config.seed)));
-    config.dim = static_cast<int>(
-        opts.get_int_or("dim", quick ? 8 : config.dim));
-    config.dest_count = static_cast<std::size_t>(opts.get_int_or(
-        "dests", quick ? 24 : static_cast<long>(config.dest_count)));
+    config.seed = static_cast<std::uint64_t>(opts.get_int_in_or(
+        "seed", static_cast<long>(config.seed), 0, kLongMax));
+    config.dim = static_cast<int>(opts.get_int_in_or(
+        "dim", quick ? 8 : config.dim, 1, hypercast::hcube::kMaxDim));
+    config.dest_count = static_cast<std::size_t>(opts.get_int_in_or(
+        "dests", quick ? 24 : static_cast<long>(config.dest_count), 1,
+        kLongMax));
     config.mix = opts.get_or("mix", config.mix);
     if (config.mix != "translated" && config.mix != "random") {
       throw std::invalid_argument("--mix must be translated or random");

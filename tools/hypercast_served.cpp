@@ -56,21 +56,6 @@ void handle_signal(int) {
 
 constexpr long kLongMax = std::numeric_limits<long>::max();
 
-/// --key as an integer in [lo, hi], `fallback` when absent. Anything
-/// out of range is a usage error naming the flag, never a silent wrap
-/// or clamp.
-long int_in(const hypercast::harness::Options& opts, const std::string& key,
-            long fallback, long lo, long hi) {
-  const long v = opts.get_int_or(key, fallback);
-  if (v < lo || v > hi) {
-    throw std::invalid_argument("--" + key + " must be in [" +
-                                std::to_string(lo) + ", " +
-                                std::to_string(hi) + "], got " +
-                                std::to_string(v));
-  }
-  return v;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -86,37 +71,40 @@ int main(int argc, char** argv) {
 
     hypercast::net::ServerConfig config;
     config.bind_address = opts.get_or("bind", config.bind_address);
-    config.port = static_cast<std::uint16_t>(int_in(opts, "port", 0, 0, 65535));
+    config.port =
+        static_cast<std::uint16_t>(opts.get_int_in_or("port", 0, 0, 65535));
     config.algorithm = opts.get_or("algo", config.algorithm);
     config.workers = static_cast<int>(
-        int_in(opts, "workers", config.workers, 1, 1024));
-    config.queue_capacity = static_cast<std::size_t>(
-        int_in(opts, "queue-cap", static_cast<long>(config.queue_capacity), 1,
-               kLongMax));
-    config.batch_max = static_cast<std::size_t>(int_in(
-        opts, "batch-max", static_cast<long>(config.batch_max), 1, kLongMax));
+        opts.get_int_in_or("workers", config.workers, 1, 1024));
+    config.queue_capacity = static_cast<std::size_t>(opts.get_int_in_or(
+        "queue-cap", static_cast<long>(config.queue_capacity), 1, kLongMax));
+    config.batch_max = static_cast<std::size_t>(opts.get_int_in_or(
+        "batch-max", static_cast<long>(config.batch_max), 1, kLongMax));
     config.deadline_ms = static_cast<std::uint64_t>(
-        int_in(opts, "deadline-ms", 0, 0, kLongMax));
+        opts.get_int_in_or("deadline-ms", 0, 0, kLongMax));
     config.max_connections = static_cast<std::size_t>(
-        int_in(opts, "max-conns", static_cast<long>(config.max_connections),
-               1, kLongMax));
+        opts.get_int_in_or("max-conns",
+                           static_cast<long>(config.max_connections), 1,
+                           kLongMax));
     const Options::CacheOptions cache = opts.cache(/*default_enabled=*/true);
     config.cache = cache.enabled;
     config.cache_shards = cache.shards;
     config.cache_bytes = cache.max_bytes;
     config.cosched = opts.has("cosched");
     config.cosched_policy.max_arc_overlap = static_cast<std::uint32_t>(
-        int_in(opts, "cosched-overlap", config.cosched_policy.max_arc_overlap,
-               0, std::numeric_limits<std::uint32_t>::max()));
+        opts.get_int_in_or("cosched-overlap",
+                           config.cosched_policy.max_arc_overlap, 0,
+                           std::numeric_limits<std::uint32_t>::max()));
     const long stagger_us =
         static_cast<long>(config.cosched_policy.stagger_offset_ns / 1000);
-    config.cosched_policy.stagger_offset_ns = static_cast<std::uint64_t>(
-        int_in(opts, "cosched-stagger-us", stagger_us, 0, kLongMax / 1000)) *
+    config.cosched_policy.stagger_offset_ns =
+        static_cast<std::uint64_t>(opts.get_int_in_or(
+            "cosched-stagger-us", stagger_us, 0, kLongMax / 1000)) *
         1000;
     config.cosched_policy.max_waves = static_cast<std::size_t>(
-        int_in(opts, "cosched-max-waves",
-               static_cast<long>(config.cosched_policy.max_waves), 0,
-               kLongMax));
+        opts.get_int_in_or("cosched-max-waves",
+                           static_cast<long>(config.cosched_policy.max_waves),
+                           0, kLongMax));
     const bool quiet = opts.has("quiet");
 
     hypercast::net::Server server(config);
