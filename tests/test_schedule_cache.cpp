@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <string>
@@ -16,6 +17,7 @@
 #include "coll/schedule_cache.hpp"
 #include "coll/serve_pipeline.hpp"
 #include "core/cache_key.hpp"
+#include "core/chain_algorithms.hpp"
 #include "fault/fault_set.hpp"
 #include "fault/repair.hpp"
 #include "test_util.hpp"
@@ -261,15 +263,93 @@ TEST(ServePipeline, CachedEqualsUncachedForAllInvariantAlgorithms) {
   }
 }
 
-TEST(ServePipeline, PassThroughAlgorithmsNeverTouchTheCache) {
-  const Topology topo(4, Resolution::HighToLow);
+// The four paper algorithms serving the same translated shapes through
+// one shared cache: every pipeline gets exactly its own uncached tree,
+// and each shape holds one relative entry per algorithm, keyed by the
+// algorithm's position in paper_algorithms().
+TEST(ServePipeline, PaperAlgorithmsShareOneCacheWithoutCollisions) {
+  const Topology topo(6, Resolution::HighToLow);
+  const auto paper = core::paper_algorithms();
+  ASSERT_EQ(paper.size(), 4u);
   auto cache = std::make_shared<ScheduleCache>();
-  ServePipeline pipeline("sftree", cache);
-  const core::MulticastRequest req{topo, 0, {1, 2, 3}};
-  const auto a = pipeline.serve(req);
-  const auto b = pipeline.serve(req);
-  EXPECT_TRUE(*a == *b);
-  EXPECT_EQ(cache->stats().lookups(), 0u);
+  std::vector<ServePipeline> cached;
+  std::vector<ServePipeline> uncached;
+  for (const core::AlgorithmEntry& entry : paper) {
+    cached.emplace_back(entry.name, cache);
+    uncached.emplace_back(entry.name, nullptr);
+  }
+
+  workload::Rng rng(61);
+  std::vector<core::MulticastRequest> shapes;
+  for (int s = 0; s < 6; ++s) {
+    shapes.push_back({topo, 0,
+                      workload::random_destinations(topo, 0, 3 + rng() % 40,
+                                                    rng)});
+  }
+  constexpr NodeId kSources[] = {5, 17, 42, 63};
+  for (const core::MulticastRequest& shape : shapes) {
+    for (const NodeId u : kSources) {
+      core::MulticastRequest req{topo, u, {}};
+      for (const NodeId d : shape.destinations) {
+        req.destinations.push_back(u ^ d);
+      }
+      for (std::size_t a = 0; a < paper.size(); ++a) {
+        ASSERT_TRUE(*cached[a].serve(req) == *uncached[a].serve(req))
+            << paper[a].name << " source " << u;
+      }
+    }
+  }
+
+  int all_distinct = 0;
+  for (const core::MulticastRequest& shape : shapes) {
+    std::vector<std::shared_ptr<const core::MulticastSchedule>> rel;
+    for (std::size_t a = 0; a < paper.size(); ++a) {
+      auto hit = cache->get(key_of(shape, static_cast<std::uint8_t>(a)));
+      ASSERT_NE(hit, nullptr) << paper[a].name;
+      EXPECT_TRUE(*hit == *uncached[a].serve(shape)) << paper[a].name;
+      rel.push_back(std::move(hit));
+    }
+    bool distinct = true;
+    for (std::size_t a = 0; a < rel.size(); ++a) {
+      for (std::size_t b = a + 1; b < rel.size(); ++b) {
+        EXPECT_NE(rel[a], rel[b]);
+        distinct = distinct && !(*rel[a] == *rel[b]);
+      }
+    }
+    all_distinct += distinct ? 1 : 0;
+  }
+  // A shape whose four trees differ is what makes a collision visible.
+  EXPECT_GT(all_distinct, 0);
+  const ScheduleCache::Stats stats = cache->stats();
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.entries,
+            shapes.size() * paper.size() * (1 + std::size(kSources)));
+}
+
+TEST(ServePipeline, PassThroughAlgorithmsNeverTouchTheCache) {
+  // A registered entry is pass-through even when it builds a
+  // translation-invariant tree.
+  const std::string registered = "pass-through-probe";
+  if (std::ranges::none_of(core::registered_algorithms(), [&](const auto& e) {
+        return e.name == registered;
+      })) {
+    core::register_algorithm(core::AlgorithmEntry{
+        registered, "probe",
+        [](const core::MulticastRequest& r) { return core::ucube(r); }});
+  }
+  const Topology topo(4, Resolution::HighToLow);
+  for (const std::string& name :
+       {std::string("sftree"), std::string("separate"), registered}) {
+    auto cache = std::make_shared<ScheduleCache>();
+    ServePipeline pipeline(name, cache);
+    const core::MulticastRequest req{topo, 5, {1, 2, 3}};
+    const auto a = pipeline.serve(req);
+    const auto b = pipeline.serve(req);
+    EXPECT_TRUE(*a == *b) << name;
+    EXPECT_TRUE(*a == core::find_algorithm(name).build(req)) << name;
+    EXPECT_EQ(cache->stats().lookups(), 0u) << name;
+    EXPECT_EQ(cache->stats().entries, 0u) << name;
+  }
 }
 
 // Faults are values: one cached pipeline served under fault set A, then
