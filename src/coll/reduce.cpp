@@ -1,9 +1,10 @@
 #include "coll/reduce.hpp"
 
 #include <cassert>
+#include <numeric>
 #include <stdexcept>
+#include <vector>
 
-#include "core/reachable.hpp"
 #include "sim/worm_engine.hpp"
 
 namespace hypercast::coll {
@@ -29,26 +30,30 @@ class ReduceEngine {
   }
 
   ReduceResult run() {
-    const auto info = core::tree_info(tree_);
-    parent_ = info.parent;
-
-    // Subtree sizes (for Gather-mode message growth) and child counts.
-    const auto reach = core::all_reachable_sets(tree_);
-    for (const auto& [node, set] : reach) {
-      subtree_size_[node] = set.size();
+    // Dense per-node tables, filled in one reverse walk of unicasts():
+    // it lists parents before children, so every child's subtree size
+    // (for Gather-mode message growth) is complete before it folds into
+    // its parent's.
+    const std::size_t nodes = tree_.topo().num_nodes();
+    parent_.resize(nodes);
+    std::iota(parent_.begin(), parent_.end(), NodeId{0});
+    pending_.assign(nodes, 0);
+    subtree_size_.assign(nodes, 1);
+    const auto unicasts = tree_.unicasts();
+    for (auto it = unicasts.rbegin(); it != unicasts.rend(); ++it) {
+      parent_[it->to] = it->from;
+      ++pending_[it->from];
+      subtree_size_[it->from] += subtree_size_[it->to];
     }
-    pending_[tree_.source()] = tree_.sends_from(tree_.source()).size();
-    for (const NodeId r : tree_.recipients()) {
-      pending_[r] = tree_.sends_from(r).size();
-    }
 
-    // Everyone enters at t = 0; leaves send immediately.
-    for (const auto& [node, count] : pending_) {
-      if (count == 0 && node != tree_.source()) {
+    // Everyone enters at t = 0; leaves send immediately, in ascending
+    // node order (which fixes the order of same-time injections).
+    for (NodeId node = 0; node < nodes; ++node) {
+      if (node != parent_[node] && pending_[node] == 0) {
         send_to_parent(node, 0);
       }
     }
-    if (pending_.size() == 1) {
+    if (unicasts.empty()) {
       // Root alone: nothing to reduce.
       result_.completion = 0;
     }
@@ -60,16 +65,14 @@ class ReduceEngine {
  private:
   std::size_t message_bytes(NodeId sender) const {
     if (config_.mode == ReduceConfig::Mode::Gather) {
-      return subtree_size_.at(sender) * config_.block_bytes;
+      return subtree_size_[sender] * config_.block_bytes;
     }
     return config_.block_bytes;
   }
 
   void send_to_parent(NodeId node, SimTime ready) {
-    const auto it = parent_.find(node);
-    assert(it != parent_.end());
     result_.send_time[node] =
-        worms_.send(node, it->second, message_bytes(node), ready);
+        worms_.send(node, parent_[node], message_bytes(node), ready);
     ++result_.stats.messages;
   }
 
@@ -82,7 +85,7 @@ class ReduceEngine {
                              : 0;
     const SimTime cpu = worms_.receive(id, tail, fold);
 
-    auto& left = pending_.at(node);
+    std::uint32_t& left = pending_[node];
     assert(left > 0);
     if (--left > 0) return;
     if (node == tree_.source()) {
@@ -94,7 +97,7 @@ class ReduceEngine {
 
   void finish() {
     worms_.finish(result_.stats, result_.trace);
-    for (const auto& [node, count] : pending_) {
+    for (const std::uint32_t count : pending_) {
       if (count != 0) {
         throw std::logic_error("reduction finished with unfolded children");
       }
@@ -105,9 +108,11 @@ class ReduceEngine {
   ReduceConfig config_;
   sim::EventQueue queue_;
   sim::WormEngine worms_;
-  std::unordered_map<NodeId, NodeId> parent_;
-  std::unordered_map<NodeId, std::size_t> subtree_size_;
-  std::unordered_map<NodeId, std::size_t> pending_;
+  /// Per node: its parent (itself for the source and non-participants),
+  /// children not yet folded, and subtree size (itself included).
+  std::vector<NodeId> parent_;
+  std::vector<std::uint32_t> pending_;
+  std::vector<std::size_t> subtree_size_;
   ReduceResult result_;
 };
 

@@ -4,6 +4,7 @@
 #include <array>
 #include <thread>
 
+#include "fault/fault_set.hpp"
 #include "obs/histogram.hpp"
 #include "obs/registry.hpp"
 
@@ -149,7 +150,7 @@ std::shared_ptr<const core::MulticastSchedule> ScheduleCache::get_translated(
   // (this exact translation) and, via a cheap rekey() of the header, the
   // relative one (shared by every translation of the chain).
   core::canonical_key_into(request.topo, request.source, request.destinations,
-                           algo, /*absolute=*/mask != 0, config_.hash_seed,
+                           algo, /*absolute=*/mask != 0, kHashSeed,
                            tls.key);
   std::uint64_t t_probe = 0;
   if (sampled) {
@@ -212,17 +213,17 @@ std::size_t ScheduleCache::probe_shard(const core::MulticastRequest& request,
   core::CacheKey& key = key_scratch().key;
   core::canonical_key_into(request.topo, request.source, request.destinations,
                            algo, /*absolute=*/request.source != 0,
-                           config_.hash_seed, key);
+                           kHashSeed, key);
   return shard_of(key);
 }
 
 const core::CacheKey& ScheduleCache::fault_key(
     const core::MulticastRequest& request, std::uint8_t algo,
-    std::span<const std::uint32_t> fault_ids, std::uint64_t salt) const {
+    const fault::FaultSet& faults, std::uint64_t mix) const {
   core::CacheKey& key = key_scratch().key;
   core::canonical_key_into(request.topo, request.source, request.destinations,
-                           algo, /*absolute=*/true, config_.hash_seed, key);
-  core::scope_to_faults(key, fault_ids, salt);
+                           algo, /*absolute=*/true, kHashSeed, key);
+  core::scope_to_faults(key, faults.ids(), faults.fingerprint(kHashSeed) ^ mix);
   return key;
 }
 

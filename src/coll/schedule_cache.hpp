@@ -14,8 +14,13 @@
 
 #include "core/cache_key.hpp"
 #include "core/multicast.hpp"
+#include "core/registry.hpp"
 #include "hcube/types.hpp"
 #include "obs/counter.hpp"
+
+namespace hypercast::fault {
+class FaultSet;
+}  // namespace hypercast::fault
 
 namespace hypercast::obs {
 class Histogram;
@@ -26,15 +31,12 @@ namespace hypercast::coll {
 
 /// The one table of cache algorithm ids (core::CacheKey::algo). Every
 /// producer of cached schedules keys under its own block, so producers
-/// sharing one ScheduleCache never collide. Registry entries other than
-/// the four paper algorithms are served pass-through and own no id.
+/// sharing one ScheduleCache never collide. ServePipeline keys each of
+/// the four paper algorithms by its position in core::paper_algorithms()
+/// (0-3); every other registry entry is served pass-through and owns no
+/// id.
 namespace cache_algo {
 
-/// The translation-invariant paper algorithms (ServePipeline).
-inline constexpr std::uint8_t kUcube = 0;
-inline constexpr std::uint8_t kMaxport = 1;
-inline constexpr std::uint8_t kCombine = 2;
-inline constexpr std::uint8_t kWsort = 3;
 /// StripedPlanner's degraded-mode repair of IST tree t (absolute,
 /// fault-scoped): kIstRepair + t.
 inline constexpr std::uint8_t kIstRepair = 192;
@@ -42,7 +44,8 @@ inline constexpr std::uint8_t kIstRepair = 192;
 /// kIst + t.
 inline constexpr std::uint8_t kIst = 224;
 
-static_assert(kWsort < kIstRepair, "paper ids overlap the IST-repair block");
+static_assert(core::kPaperAlgorithms <= kIstRepair,
+              "paper ids overlap the IST-repair block");
 static_assert(kIstRepair + hcube::kMaxDim <= kIst,
               "IST-repair block overlaps the IST block");
 static_assert(kIst + hcube::kMaxDim <= 256, "IST block overflows 8 bits");
@@ -100,10 +103,11 @@ class ScheduleCache {
     std::size_t shards = 0;
     /// Total byte budget across all shards.
     std::size_t max_bytes = std::size_t{64} << 20;
-    /// Seed for the canonical-key hash; independent caches can
-    /// decorrelate their shard mappings.
-    std::uint64_t hash_seed = 0x5ca1ab1e5eedull;
   };
+
+  /// Seed of every key hash (canonical keys, fault fingerprints). It
+  /// fixes shard choice and so eviction order.
+  static constexpr std::uint64_t kHashSeed = 0x5ca1ab1e5eedull;
 
   struct Stats {
     std::uint64_t hits = 0;          ///< shared-tier hits
@@ -211,14 +215,14 @@ class ScheduleCache {
                           std::uint8_t algo) const;
 
   /// The key of a fault-dependent entry: the absolute key of `request`
-  /// under `algo`, scoped to the fault set's sorted ids and `salt` (its
-  /// fingerprint, optionally mixed with further identity). Refers to this
-  /// thread's scratch key: valid until the thread's next fault_key,
-  /// probe_shard or get_translated call.
+  /// under `algo`, scoped to the fault set's sorted ids and its
+  /// fingerprint XOR `mix` (further identity the entry depends on, 0 for
+  /// none). Refers to this thread's scratch key: valid until the thread's
+  /// next fault_key, probe_shard or get_translated call.
   const core::CacheKey& fault_key(const core::MulticastRequest& request,
                                   std::uint8_t algo,
-                                  std::span<const std::uint32_t> fault_ids,
-                                  std::uint64_t salt) const;
+                                  const fault::FaultSet& faults,
+                                  std::uint64_t mix = 0) const;
 
   /// Drop every entry and bump every shard's generation tag (which also
   /// kills all thread-local L1 entries).

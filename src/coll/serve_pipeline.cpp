@@ -4,7 +4,6 @@
 #include <exception>
 #include <mutex>
 #include <stdexcept>
-#include <string_view>
 #include <thread>
 
 #include "core/tree_builder.hpp"
@@ -15,20 +14,10 @@ namespace hypercast::coll {
 
 namespace {
 
-/// Per-thread serving scratch: the tree builder and the wsort
-/// permutation scratch of relative builds, and the stage sampler. One
-/// instance per thread serves every pipeline (builders are stateless
-/// between builds), which is what keeps a threaded batch at the
-/// zero-allocation steady state.
-struct ServeTls {
-  core::TreeBuilder builder;
-  core::WeightedSortScratch wsort_scratch;
-  unsigned sample_tick = 0;  ///< stage-timing sampler (see kSampleMask)
-};
-
-ServeTls& serve_tls() {
-  thread_local ServeTls tls;
-  return tls;
+/// Per-thread stage-timing sampler tick (see kSampleMask).
+unsigned& sample_tick() {
+  thread_local unsigned tick = 0;
+  return tick;
 }
 
 /// Stage-timing sample rate: a cached serve is ~1.2us and a clock read
@@ -68,13 +57,6 @@ const ServeMetrics& serve_metrics() {
 
 }  // namespace
 
-struct ServePipeline::Translated {
-  std::string_view name;
-  std::uint8_t algo;  ///< cache_algo id
-  core::NextRule rule;
-  bool wsort;  ///< weighted_sort the chain before running `rule`
-};
-
 ServePipeline::ServePipeline(std::string algorithm,
                              std::shared_ptr<ScheduleCache> cache)
     : algorithm_(std::move(algorithm)),
@@ -82,14 +64,12 @@ ServePipeline::ServePipeline(std::string algorithm,
       // throws the self-diagnosing invalid_argument for typos.
       entry_(core::find_algorithm(algorithm_)),
       cache_(std::move(cache)) {
-  static constexpr Translated kTranslated[] = {
-      {"ucube", cache_algo::kUcube, core::NextRule::Center, false},
-      {"maxport", cache_algo::kMaxport, core::NextRule::HighDim, false},
-      {"combine", cache_algo::kCombine, core::NextRule::MaxOfBoth, false},
-      {"wsort", cache_algo::kWsort, core::NextRule::HighDim, true},
-  };
-  for (const Translated& t : kTranslated) {
-    if (t.name == algorithm_) translated_ = &t;
+  const auto paper = core::paper_algorithms();
+  for (std::size_t i = 0; i < paper.size(); ++i) {
+    if (paper[i].name == algorithm_) {
+      recipe_ = &*paper[i].recipe;
+      algo_ = static_cast<std::uint8_t>(i);
+    }
   }
 }
 
@@ -99,17 +79,12 @@ std::shared_ptr<const core::MulticastSchedule> ServePipeline::serve(
   const bool stats = obs::stats_enabled();
   if (stats) serve_metrics().requests->inc();
   if (!translates()) return build_direct(request, stats);
-  const bool sampled =
-      stats && (serve_tls().sample_tick++ & kSampleMask) == 0;
-  const Translated& algo = *translated_;
+  const bool sampled = stats && (sample_tick()++ & kSampleMask) == 0;
+  const core::Recipe recipe = *recipe_;
   return cache_->get_translated(
-      request, algo.algo,
-      [&algo](std::vector<core::NodeId>& chain, core::MulticastSchedule& out) {
-        ServeTls& tls = serve_tls();
-        if (algo.wsort) {
-          core::weighted_sort(out.topo(), chain, tls.wsort_scratch);
-        }
-        tls.builder.build_chain_into(out.topo(), chain, algo.rule, out);
+      request, algo_,
+      [recipe](std::vector<core::NodeId>& chain, core::MulticastSchedule& out) {
+        core::TreeBuilder::local().build_relative(chain, recipe, out);
       },
       stats ? &serve_metrics().stages : nullptr, sampled);
 }
@@ -132,8 +107,7 @@ std::shared_ptr<const core::MulticastSchedule> ServePipeline::repaired(
   // depend on destination order), so their repairs do too.
   const core::CacheKey* key = nullptr;
   if (translates()) {
-    key = &cache_->fault_key(request, translated_->algo, faults.ids(),
-                             faults.fingerprint(cache_->config().hash_seed));
+    key = &cache_->fault_key(request, algo_, faults);
     if (auto hit = cache_->get(*key)) return hit;
   }
   auto built = std::make_shared<core::MulticastSchedule>(
@@ -223,7 +197,7 @@ ServePipeline::serve_batch(std::span<const core::MulticastRequest> requests,
     parallel_over([&](std::size_t w) {
       for (std::size_t i = w; i < n; i += workers) {
         owner[i] = static_cast<std::uint32_t>(
-            cache_->probe_shard(requests[i], translated_->algo) % workers);
+            cache_->probe_shard(requests[i], algo_) % workers);
       }
     });
   } else {

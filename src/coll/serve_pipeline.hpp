@@ -39,7 +39,7 @@ namespace hypercast::coll {
 /// cached repair is keyed by that set's exact content, so a new fault
 /// set is a new key and nothing is ever invalidated.
 ///
-/// Relative trees build through a thread-local core::TreeBuilder, so a
+/// Relative trees build through core::TreeBuilder::local(), so a
 /// pipeline shared by many worker threads reaches a zero-allocation
 /// steady state while staying bit-identical to uncached construction at
 /// any thread count; uncached requests build through the registry entry.
@@ -142,15 +142,9 @@ class ServePipeline {
       const BatchPolicy& policy, const CoschedPolicy& cosched) const;
 
  private:
-  /// The cache id and relative build of a translation-invariant
-  /// algorithm (serve_pipeline.cpp holds the four).
-  struct Translated;
-
   /// Whether serve() goes through the cache (a cache is attached and the
-  /// algorithm is translation-invariant).
-  bool translates() const {
-    return cache_ != nullptr && translated_ != nullptr;
-  }
+  /// algorithm is one of the translation-invariant paper algorithms).
+  bool translates() const { return cache_ != nullptr && recipe_ != nullptr; }
 
   std::shared_ptr<const core::MulticastSchedule> build_direct(
       const core::MulticastRequest& request, bool stats) const;
@@ -171,8 +165,11 @@ class ServePipeline {
   /// find_algorithm(algorithm_), resolved (and validated) once at
   /// construction: every uncached build runs it.
   core::AlgorithmEntry entry_;
-  /// nullptr unless the algorithm is translation-invariant.
-  const Translated* translated_ = nullptr;
+  /// Set iff the algorithm is one of core::paper_algorithms(): its
+  /// recipe builds the relative trees, and its position there is its
+  /// cache id (cache_algo).
+  const core::Recipe* recipe_ = nullptr;
+  std::uint8_t algo_ = 0;
   std::shared_ptr<ScheduleCache> cache_;
 };
 

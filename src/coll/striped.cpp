@@ -250,15 +250,14 @@ StripedPlan StripedPlanner::plan(const core::MulticastRequest& request,
     if (!out.dropped(t)) to_repair.push_back(t);
   }
   if (!to_repair.empty()) {
-    // Salt for the degraded-entry cache keys: the repaired tree is a
-    // function of the fault set (whose ids the key carries in full), the
-    // parity config and the drop decisions — fold them all in.
+    // The degraded-entry cache keys carry the fault set; the repaired
+    // tree also depends on the parity config and the drop decisions, so
+    // mix them in too.
     std::uint64_t drop_mask = 0;
     for (const int d : out.dropped_trees) drop_mask |= std::uint64_t{1} << d;
-    std::uint64_t salt =
-        faults.fingerprint(cache_ ? cache_->config().hash_seed : 0);
-    salt ^= ((std::uint64_t{out.parity_stripes} << 32) | drop_mask) *
-            0x9e3779b97f4a7c15ull;
+    const std::uint64_t mix =
+        ((std::uint64_t{out.parity_stripes} << 32) | drop_mask) *
+        0x9e3779b97f4a7c15ull;
 
     // Tier 2 — certified disjoint repair: every surviving untouched
     // tree claims its footprint, and each damaged tree is patched
@@ -275,7 +274,7 @@ StripedPlan StripedPlanner::plan(const core::MulticastRequest& request,
       // Thread-local scratch; nothing below re-keys it before the put.
       const core::CacheKey* key =
           cache_ ? &cache_->fault_key(request, cache_algo::ist_repair(t),
-                                      faults.ids(), salt)
+                                      faults, mix)
                  : nullptr;
       auto hit = key ? cache_->get(*key) : nullptr;
       if (hit != nullptr) {

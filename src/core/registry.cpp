@@ -1,29 +1,31 @@
 #include "core/registry.hpp"
 
-#include <array>
 #include <stdexcept>
 
-#include "core/chain_algorithms.hpp"
 #include "core/separate.hpp"
 #include "core/sf_tree.hpp"
+#include "core/tree_builder.hpp"
 #include "core/wsort.hpp"
 
 namespace hypercast::core {
 
 namespace {
 
+// The paper's four algorithms: one loop (Algorithm 1, TreeBuilder) and
+// a recipe each.
+constexpr Recipe kUcube{NextRule::Center};
+constexpr Recipe kMaxport{NextRule::HighDim};
+constexpr Recipe kCombine{NextRule::MaxOfBoth};
+constexpr Recipe kWsort{NextRule::HighDim, /*weighted_sort=*/true};
+
 const std::vector<AlgorithmEntry>& table() {
   static const std::vector<AlgorithmEntry> entries = {
-      {"ucube", "U-cube", [](const MulticastRequest& r) { return ucube(r); }},
-      {"maxport", "Maxport",
-       [](const MulticastRequest& r) { return maxport(r); }},
-      {"combine", "Combine",
-       [](const MulticastRequest& r) { return combine(r); }},
-      {"wsort", "W-sort", [](const MulticastRequest& r) { return wsort(r); }},
-      {"separate", "Separate",
-       [](const MulticastRequest& r) { return separate_addressing(r); }},
-      {"sftree", "SF-tree",
-       [](const MulticastRequest& r) { return sf_tree(r); }},
+      {"ucube", "U-cube", ucube, kUcube},
+      {"maxport", "Maxport", maxport, kMaxport},
+      {"combine", "Combine", combine, kCombine},
+      {"wsort", "W-sort", wsort, kWsort},
+      {"separate", "Separate", separate_addressing},
+      {"sftree", "SF-tree", sf_tree},
   };
   return entries;
 }
@@ -35,8 +37,24 @@ std::vector<AlgorithmEntry>& registered() {
 
 }  // namespace
 
+MulticastSchedule ucube(const MulticastRequest& req) {
+  return TreeBuilder::local().build(req, kUcube);
+}
+
+MulticastSchedule maxport(const MulticastRequest& req) {
+  return TreeBuilder::local().build(req, kMaxport);
+}
+
+MulticastSchedule combine(const MulticastRequest& req) {
+  return TreeBuilder::local().build(req, kCombine);
+}
+
+MulticastSchedule wsort(const MulticastRequest& req) {
+  return TreeBuilder::local().build(req, kWsort);
+}
+
 std::span<const AlgorithmEntry> paper_algorithms() {
-  return std::span<const AlgorithmEntry>(table()).subspan(0, 4);
+  return std::span<const AlgorithmEntry>(table()).subspan(0, kPaperAlgorithms);
 }
 
 std::span<const AlgorithmEntry> all_algorithms() { return table(); }
@@ -45,10 +63,15 @@ std::span<const AlgorithmEntry> registered_algorithms() {
   return registered();
 }
 
-std::vector<std::string> algorithm_names() {
+std::vector<std::string> names_of(std::span<const AlgorithmEntry> entries) {
   std::vector<std::string> names;
-  names.reserve(table().size() + registered().size());
-  for (const AlgorithmEntry& e : table()) names.push_back(e.name);
+  names.reserve(entries.size());
+  for (const AlgorithmEntry& e : entries) names.push_back(e.name);
+  return names;
+}
+
+std::vector<std::string> algorithm_names() {
+  std::vector<std::string> names = names_of(table());
   for (const AlgorithmEntry& e : registered()) names.push_back(e.name);
   return names;
 }

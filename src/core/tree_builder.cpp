@@ -2,30 +2,31 @@
 
 #include <cassert>
 
-#include "hcube/bits.hpp"
 
 namespace hypercast::core {
 
-void TreeBuilder::prepare_chain(const MulticastRequest& req) {
-  req.validate();
-  hcube::make_relative_chain_into(req.topo, req.source, req.destinations,
-                                  chain_);
+TreeBuilder& TreeBuilder::local() {
+  // One scratch arena per thread: sweeps, benches, the CLI and every
+  // serving thread amortize all construction allocations without
+  // sharing state across workers.
+  thread_local TreeBuilder builder;
+  return builder;
 }
 
 MulticastSchedule TreeBuilder::build(const MulticastRequest& req,
-                                     NextRule rule) {
+                                     Recipe recipe) {
+  req.validate();
   MulticastSchedule out(req.topo, req.source);
-  prepare_chain(req);
-  build_chain_into(req.topo, chain_, rule, out);
+  hcube::make_relative_chain_into(req.topo, req.source, req.destinations,
+                                  chain_);
+  build_relative(chain_, recipe, out);
   return out;
 }
 
-MulticastSchedule TreeBuilder::build_wsort(const MulticastRequest& req) {
-  MulticastSchedule out(req.topo, req.source);
-  prepare_chain(req);
-  weighted_sort(req.topo, chain_, wsort_scratch_);
-  build_chain_into(req.topo, chain_, NextRule::HighDim, out);
-  return out;
+void TreeBuilder::build_relative(std::vector<NodeId>& chain, Recipe recipe,
+                                 MulticastSchedule& out) {
+  if (recipe.weighted) weighted_sort(out.topo(), chain, wsort_scratch_);
+  build_chain_into(out.topo(), chain, recipe.rule, out);
 }
 
 void TreeBuilder::build_chain_into(const Topology& topo,
@@ -66,35 +67,8 @@ void TreeBuilder::build_chain_into(const Topology& topo,
     std::uint32_t right = range.last;
     const NodeId local = chain[left];
     while (left < right) {
-      // Step 1: x = delta(d_left, d_right), the first routing dimension
-      // (as a key-space bit) of a message spanning the whole segment.
-      const Dim x = hcube::highest_bit(keys_[left] ^ keys_[right]);
-
-      // Step 2: d_highdim — the leftmost node whose route from d_left
-      // starts on channel x. In a cube-ordered segment the far side of
-      // bit x is a contiguous suffix, so this is that suffix's head.
-      std::uint32_t highdim = left + 1;
-      const bool left_side = hcube::test_bit(keys_[left], x);
-      while (hcube::test_bit(keys_[highdim], x) == left_side) ++highdim;
-      assert(highdim <= right);
-
-      // Step 3: the binary-halving midpoint.
-      const std::uint32_t center = left + (right - left + 1) / 2;
-
-      // Step 4: the single statement the three algorithms differ in.
-      std::uint32_t next = 0;
-      switch (rule) {
-        case NextRule::Center:
-          next = center;
-          break;
-        case NextRule::HighDim:
-          next = highdim;
-          break;
-        case NextRule::MaxOfBoth:
-          next = std::max(highdim, center);
-          break;
-      }
-
+      const auto next =
+          static_cast<std::uint32_t>(split_next(keys_, left, right, rule));
       // Steps 5-6: transmit to d_next along with the address field
       // D = {d_next+1, ..., d_right} — the contiguous chain segment
       // (next, right]. The recipient's own share of the recursion is

@@ -25,31 +25,34 @@ namespace hypercast::core {
 /// Reuse contract: a TreeBuilder may be reused for any number of
 /// sequential builds, on any mix of topologies, and holds no pointers
 /// into the schedules it produced. It is not thread-safe; give each
-/// sweep worker its own instance (the registry entries do this via a
-/// thread_local builder). Output is a pure function of the inputs —
+/// sweep worker its own instance, or use local(). Output is a pure function of the inputs —
 /// identical whether a builder is fresh or reused, which is what keeps
 /// threaded sweeps bit-identical at any thread count.
 class TreeBuilder {
  public:
-  /// Sort the destinations into the source-relative dimension-ordered
-  /// chain and run `rule` over it (ucube/maxport/combine, depending on
-  /// the rule). Validates the request.
-  MulticastSchedule build(const MulticastRequest& req, NextRule rule);
+  /// This thread's builder: the registry's paper algorithms and the
+  /// serving pipeline's relative builds share it.
+  static TreeBuilder& local();
 
-  /// W-sort: dimension-ordered chain, weighted_sort permutation, then
-  /// the HighDim rule.
-  MulticastSchedule build_wsort(const MulticastRequest& req);
+  /// Build `recipe`'s tree for `req` (validated): sort the destinations
+  /// into the source-relative dimension-ordered chain and run
+  /// build_relative over it.
+  MulticastSchedule build(const MulticastRequest& req, Recipe recipe);
+
+  /// Run `recipe` over a source-relative dimension-ordered chain
+  /// (position 0 is the source; see hcube::make_relative_chain) into
+  /// `out`, whose topology it uses: weighted_sort it in place when the
+  /// recipe says so, then run the recipe's rule over it.
+  void build_relative(std::vector<NodeId>& chain, Recipe recipe,
+                      MulticastSchedule& out);
 
   /// Run `rule` over an explicit cube-ordered chain (position 0 is the
   /// source). `chain` may alias this builder's internal chain buffer
-  /// (build and build_wsort above rely on that).
+  /// (build above relies on that).
   void build_chain_into(const Topology& topo, std::span<const NodeId> chain,
                         NextRule rule, MulticastSchedule& out);
 
  private:
-  /// req.validate() + relative chain into chain_.
-  void prepare_chain(const MulticastRequest& req);
-
   std::vector<NodeId> chain_;          ///< source + sorted destinations
   std::vector<std::uint32_t> keys_;    ///< topo.key() of each chain entry
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "core/wsort.hpp"
 #include "hcube/bits.hpp"
 
 namespace hypercast::core {
@@ -83,6 +84,13 @@ void weighted_sort(const Topology& topo, std::vector<NodeId>& chain,
 void weighted_sort(const Topology& topo, std::vector<NodeId>& chain) {
   WeightedSortScratch scratch;
   weighted_sort(topo, chain, scratch);
+}
+
+std::vector<NodeId> wsort_chain(const MulticastRequest& req) {
+  req.validate();
+  auto chain = hcube::make_relative_chain(req.topo, req.source, req.destinations);
+  weighted_sort(req.topo, chain);
+  return chain;
 }
 
 }  // namespace hypercast::core

@@ -10,7 +10,8 @@ namespace hypercast::core {
 /// into the d0-relative dimension-ordered chain, permute it with
 /// weighted_sort so the most crowded subcube half is always forwarded
 /// first, and feed the (still cube-ordered, Theorem 5) chain to Maxport.
-/// Theorem 6: the resulting multicast is contention-free.
+/// Theorem 6: the resulting multicast is contention-free. Builds
+/// through its registry recipe (core/registry.cpp).
 MulticastSchedule wsort(const MulticastRequest& req);
 
 /// The weighted chain W-sort would multicast over, exposed for tests,

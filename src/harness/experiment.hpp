@@ -24,8 +24,8 @@ struct SweepBase {
   std::vector<std::size_t> sizes;
   std::size_t sets_per_point = 100;
   std::uint64_t seed = 0x5C93C0DE;  ///< default experiment seed
-  std::vector<std::string> algorithms = {"ucube", "maxport", "combine",
-                                         "wsort"};
+  std::vector<std::string> algorithms =
+      core::names_of(core::paper_algorithms());
   /// Worker threads for the embarrassingly-parallel (m, trial) points.
   /// Results are bit-identical for any thread count: instances derive
   /// their seeds from (seed, m, trial) and samples are merged in sweep

@@ -91,9 +91,6 @@ class Processors {
     return header_start - send_startup_;
   }
 
-  /// Every CPU free at t = 0 again.
-  void reset() { std::fill(free_.begin(), free_.end(), 0); }
-
  private:
   SimTime send_startup_;
   SimTime recv_overhead_;

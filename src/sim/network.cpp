@@ -80,14 +80,6 @@ std::size_t Network::waiting_count(ResourceId r) const {
   return n;
 }
 
-void Network::reset() {
-  for (std::uint16_t& u : units_) u &= 0xff;  // clear in-use, keep capacity
-  std::fill(waiter_tail_.begin(), waiter_tail_.end(), kNone);
-  waiter_next_.clear();  // keeps capacity; regrown by the next enqueue
-  busy_ = 0;
-  waiting_ = 0;
-}
-
 std::size_t Network::memory_bytes() const {
   return units_.capacity() * sizeof(std::uint16_t) +
          waiter_tail_.capacity() * sizeof(MessageId) +

@@ -126,13 +126,6 @@ class Network {
   /// multi-megabyte) resource arrays — engines check this per run.
   bool quiescent() const { return busy_ == 0 && waiting_ == 0; }
 
-  /// Restore the freshly-constructed invariants (all units idle, no
-  /// waiters) while keeping every allocation, so a reused engine doesn't
-  /// pay construction again — and `waiter_next_`, which grows to the max
-  /// MessageId ever enqueued, stops accumulating across jobs. Mirrors
-  /// MulticastSchedule::reset().
-  void reset();
-
   /// Heap bytes pinned by per-resource and per-waiter state (capacity,
   /// not size) — the bulk of a large cube's simulation footprint.
   std::size_t memory_bytes() const;

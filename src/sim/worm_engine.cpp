@@ -129,20 +129,6 @@ void WormEngine::reserve(std::size_t messages,
   path_pool_.reserve(messages * path_slots_per_message);
 }
 
-void WormEngine::reset() {
-  paths_.clear();
-  to_.clear();
-  bytes_.clear();
-  blocking_.clear();
-  traces_.clear();
-  path_pool_.clear();
-  net_.reset();
-  cpus_.reset();
-  blocked_ = 0;
-  total_blocked_ = 0;
-  delivered_ = 0;
-}
-
 std::size_t WormEngine::memory_bytes() const {
   return paths_.capacity() * sizeof(PathRef) +
          to_.capacity() * sizeof(hcube::NodeId) +

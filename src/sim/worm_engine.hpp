@@ -116,12 +116,6 @@ class WormEngine {
   /// `path_slots_per_message` path resources each.
   void reserve(std::size_t messages, std::size_t path_slots_per_message);
 
-  /// Forget every worm, restore the network to idle and free every CPU,
-  /// keeping all allocations — a reused engine starts the next job at
-  /// steady state.
-  /// The shared event queue must be drained first (quiescent run end).
-  void reset();
-
   /// Heap bytes pinned by worm state + the network (capacity, not size;
   /// the per-node processor clocks are not counted).
   std::size_t memory_bytes() const;

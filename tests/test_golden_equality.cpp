@@ -155,6 +155,7 @@ struct Algo {
 constexpr Algo kChainAlgos[] = {{"ucube", NextRule::Center},
                                 {"maxport", NextRule::HighDim},
                                 {"combine", NextRule::MaxOfBoth}};
+constexpr Recipe kWsort{NextRule::HighDim, /*weighted_sort=*/true};
 
 // ---------------------------------------------------------------------------
 // Exhaustive: every destination subset of the 4-cube.
@@ -179,7 +180,7 @@ TEST(GoldenEquality, ExhaustiveFourCubeAllSubsets) {
                          builder.build(req, rule), topo, ctx + " " + name);
         if (::testing::Test::HasFailure()) return;  // first mismatch only
       }
-      expect_identical(ref_wsort(req), builder.build_wsort(req), topo,
+      expect_identical(ref_wsort(req), builder.build(req, kWsort), topo,
                        ctx + " wsort");
       if (::testing::Test::HasFailure()) return;
     }
@@ -205,7 +206,7 @@ TEST_P(GoldenEqualityFiveCube, RandomizedSweep) {
                        topo, ctx + " " + name);
       if (::testing::Test::HasFailure()) return;
     }
-    expect_identical(ref_wsort(req), builder.build_wsort(req), topo,
+    expect_identical(ref_wsort(req), builder.build(req, kWsort), topo,
                      ctx + " wsort");
     // The registry entries route through a thread_local builder — they
     // must agree with the explicit-scratch path too.
@@ -256,7 +257,7 @@ TEST(GoldenEquality, FaultAwareRepairMatchesOnBothBases) {
     const auto ref_fixed =
         *fault::repair(ref_wsort(req), req.destinations, faults);
     const auto flat_fixed =
-        *fault::repair(builder.build_wsort(req), req.destinations, faults);
+        *fault::repair(builder.build(req, kWsort), req.destinations, faults);
     expect_identical(ref_fixed.schedule, flat_fixed.schedule, topo,
                      ctx + " wsort repaired");
     if (::testing::Test::HasFailure()) return;

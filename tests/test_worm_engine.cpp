@@ -153,33 +153,6 @@ TEST(WormEngine, NoTraceRecordingByDefault) {
   EXPECT_TRUE(engine.quiescent());
 }
 
-TEST(WormEngine, ResetKeepsCapacityAndRestoresInvariants) {
-  Fixture f;
-  std::vector<SimTime> first;
-  f.sink.fn = [&](MessageId, SimTime t) { first.push_back(t); };
-  f.engine.inject(0, 0b1000, 4096, 0);
-  f.engine.inject(0, 0b1100, 4096, 0);
-  f.queue.run_to_completion();
-  ASSERT_EQ(first.size(), 2u);
-  ASSERT_TRUE(f.engine.quiescent());
-
-  f.engine.reset();
-  EXPECT_EQ(f.engine.num_messages(), 0u);
-  EXPECT_EQ(f.engine.blocked_acquisitions(), 0u);
-  EXPECT_EQ(f.engine.total_blocked_ns(), 0);
-  EXPECT_TRUE(f.engine.quiescent());
-
-  // Replaying the same workload after reset reproduces the same
-  // *relative* timeline (the event queue's clock keeps advancing).
-  const SimTime base = f.queue.now();
-  std::vector<SimTime> second;
-  f.sink.fn = [&](MessageId, SimTime t) { second.push_back(t - base); };
-  f.engine.inject(0, 0b1000, 4096, base + 0);
-  f.engine.inject(0, 0b1100, 4096, base + 0);
-  f.queue.run_to_completion();
-  EXPECT_EQ(second, first);
-}
-
 TEST(WormEngine, SendAndReceiveSerializeOnTheNodesCpu) {
   Fixture f;
   std::vector<SimTime> done;
